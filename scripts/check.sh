@@ -98,10 +98,13 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   # replay (above) plus the journal/resume paths share that lock with
   # the statement latch — run the suite to pin the discipline.
   ./build-tsan/tests/sqlflow_durability_tests
-  # The server is the raciest schedule in the tree: reader threads, a
-  # shared worker pool, per-connection write mutexes, admission gates
-  # on atomics, and the group-commit coalescing wait all interleave
-  # for real under the chaos matrices — run the suite to pin them.
+  # The server is the raciest schedule in the tree: reader threads
+  # that execute requests inline and a shared worker pool contend for
+  # the execution slots under the queue mutex, sessions pass between
+  # readers and workers, per-connection write mutexes serialize
+  # replies, admission gates run on atomics, and the group-commit
+  # coalescing wait interleaves with all of it under the chaos
+  # matrices — run the suite to pin them.
   ./build-tsan/tests/sqlflow_net_tests
 fi
 

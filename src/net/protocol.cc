@@ -289,9 +289,11 @@ Status WaitFor(int fd, short events, int timeout_ms, const char* what) {
   }
 }
 
-/// Reads exactly `n` bytes; every wait is bounded by `deadline` (when
-/// set). EOF inside the span is a torn frame unless `n_read_at_eof_ok`
-/// says byte 0 may be a clean close.
+/// Reads exactly `n` bytes. Each read is tried without blocking first;
+/// only when nothing is buffered does it poll, for `idle_ms_first`
+/// before the first byte and bounded by `deadline` (when set) after.
+/// EOF inside the span is a torn frame unless `eof_ok_at_start` says
+/// byte 0 may be a clean close.
 Status ReadFull(
     int fd, char* buf, size_t n,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
@@ -300,12 +302,14 @@ Status ReadFull(
   size_t got = 0;
   bool first = true;
   while (got < n) {
-    int wait_ms = first ? idle_ms_first : RemainingMs(deadline);
-    SQLFLOW_RETURN_IF_ERROR(WaitFor(fd, POLLIN, wait_ms, "read"));
-    ssize_t r = ::recv(fd, buf + got, n - got, 0);
+    ssize_t r = ::recv(fd, buf + got, n - got, MSG_DONTWAIT);
     if (r < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        int wait_ms = first ? idle_ms_first : RemainingMs(deadline);
+        SQLFLOW_RETURN_IF_ERROR(WaitFor(fd, POLLIN, wait_ms, "read"));
+        continue;
+      }
       return Status::Unavailable(std::string("read failed: ") +
                                  std::strerror(errno));
     }
@@ -325,19 +329,22 @@ Status ReadFull(
   return Status::OK();
 }
 
+/// Writes all `n` bytes, trying each send without blocking first and
+/// polling (bounded by `deadline`) only while the socket buffer is full.
 Status WriteFull(
     int fd, const char* buf, size_t n,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
     std::atomic<uint64_t>* bytes_out) {
   size_t sent = 0;
   while (sent < n) {
-    SQLFLOW_RETURN_IF_ERROR(
-        WaitFor(fd, POLLOUT, RemainingMs(deadline), "write"));
     // MSG_NOSIGNAL: a peer that closed mid-exchange must surface as
     // EPIPE, not kill the server process with SIGPIPE.
-    ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
+    ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (r < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        SQLFLOW_RETURN_IF_ERROR(
+            WaitFor(fd, POLLOUT, RemainingMs(deadline), "write"));
         continue;
       }
       return Status::Unavailable(std::string("write failed: ") +

@@ -54,7 +54,12 @@ const char* Server::ConnStateName(ConnState state) {
 
 Server::Server(sql::Database* db, wfc::WorkflowEngine* engine,
                ServerOptions options)
-    : db_(db), options_(std::move(options)) {
+    : db_(db),
+      options_(std::move(options)),
+      dispatch_inline_(
+          obs::MetricsRegistry::Global().GetCounter("net.dispatch.inline")),
+      dispatch_queued_(
+          obs::MetricsRegistry::Global().GetCounter("net.dispatch.queued")) {
   wf_.engine = engine;
 }
 
@@ -93,9 +98,7 @@ Status Server::Start() {
   stopping_.store(false);
   running_.store(true);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  const uint32_t workers = options_.worker_threads == 0
-                               ? 1
-                               : options_.worker_threads;
+  const uint32_t workers = SlotLimit();
   workers_.reserve(workers);
   for (uint32_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -105,7 +108,11 @@ Status Server::Start() {
 
 void Server::Stop() {
   if (!running_.exchange(false)) return;
-  stopping_.store(true);
+  {
+    // Under the queue mutex: the workers' wait predicate reads it.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    stopping_.store(true);
+  }
 
   // 1. Stop accepting.
   if (accept_thread_.joinable()) accept_thread_.join();
@@ -115,7 +122,8 @@ void Server::Stop() {
   }
 
   // 2. Stop reading: reader threads observe stopping_ on their next
-  // poll tick and exit, so no new work enters the queue. A reader
+  // poll tick (after finishing any request they are serving inline)
+  // and exit, so no new work enters the queue. A reader
   // moves its connection to the zombie list on the way out (inside
   // conns_mutex_), so the snapshot below sees every connection in
   // exactly one of the two containers.
@@ -186,6 +194,10 @@ void Server::AcceptLoop() {
     if (rc <= 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Replies are small and written back to back; Nagle would hold the
+    // second behind the first one's ACK.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     size_t live;
     {
@@ -239,7 +251,9 @@ void Server::AcceptLoop() {
 
 void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
   conn->state.store(ConnState::kClosing);
-  {
+  // While stopping, queued requests of this connection may still owe
+  // their responses; Stop() closes the socket once they have flushed.
+  if (!stopping_.load()) {
     int fd = conn->fd.load();
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
@@ -302,22 +316,37 @@ void Server::ServeRequest(const std::shared_ptr<Connection>& conn,
   MaybeReleaseFd(conn);
 }
 
+uint32_t Server::SlotLimit() const {
+  return options_.worker_threads == 0 ? 1 : options_.worker_threads;
+}
+
+void Server::ReleaseSlot() {
+  bool queued;
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    executing_ -= 1;
+    queued = !queue_.empty();
+  }
+  if (queued) queue_cv_.notify_one();
+}
+
 void Server::WorkerLoop() {
   while (true) {
     WorkItem item;
     {
+      // Queued work waits for a slot (readers may hold them all); an
+      // idle worker exits only once stopping and the queue is drained.
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] {
-        return stopping_.load() || !queue_.empty();
+        return queue_.empty() ? stopping_.load() : executing_ < SlotLimit();
       });
-      if (queue_.empty()) {
-        if (stopping_.load()) return;
-        continue;
-      }
+      if (queue_.empty()) return;
       item = std::move(queue_.front());
       queue_.pop_front();
+      executing_ += 1;
     }
     ServeRequest(item.conn, item.request);
+    ReleaseSlot();
   }
 }
 
@@ -464,8 +493,12 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
     // Load shedding, innermost gates: per-connection in-flight cap,
     // then the bounded global queue. Shed requests are answered
     // immediately with a transient error — cheap for the server, a
-    // clear back-off signal for the client.
+    // clear back-off signal for the client. An admitted request runs
+    // right here when nothing is queued ahead of it and a slot is free
+    // (one thread wake-up per round trip); otherwise it joins the
+    // queue, which keeps queued work FIFO.
     bool shed = false;
+    bool run_inline = false;
     std::string reason;
     if (conn->inflight.load() >=
         static_cast<int>(options_.max_inflight_per_conn)) {
@@ -478,7 +511,12 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
         reason = "server request queue is full";
       } else {
         conn->inflight.fetch_add(1);
-        queue_.push_back(WorkItem{conn, std::move(*request)});
+        if (queue_.empty() && executing_ < SlotLimit()) {
+          executing_ += 1;
+          run_inline = true;
+        } else {
+          queue_.push_back(WorkItem{conn, std::move(*request)});
+        }
       }
     }
     if (shed) {
@@ -492,7 +530,14 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
       busy.request_id = request->request_id;
       busy.status = Status::Unavailable(reason + "; retry");
       (void)SendResponse(conn, busy);
+    } else if (run_inline) {
+      dispatch_inline_.Increment();
+      ServeRequest(conn, *request);
+      ReleaseSlot();
+      // The idle budget restarts once the client holds its reply.
+      idle_since = std::chrono::steady_clock::now();
     } else {
+      dispatch_queued_.Increment();
       queue_cv_.notify_one();
     }
   }

@@ -14,6 +14,7 @@
 
 #include "net/protocol.h"
 #include "net/session.h"
+#include "obs/metrics.h"
 #include "sql/database.h"
 #include "wfc/engine.h"
 
@@ -32,6 +33,9 @@ struct ServerOptions {
   /// Bounded global work queue; a full queue sheds load instead of
   /// buffering it (the backpressure gate).
   uint32_t max_queue_depth = 128;
+  /// Execution slots: at most this many requests execute at once,
+  /// counting both reader threads that serve their own request inline
+  /// and pool workers serving queued ones (0 is treated as 1).
   uint32_t worker_threads = 4;
   /// Budget for a peer to *finish* a frame once its first byte arrived,
   /// and for writes to drain — the slow-loris killer. -1 disables.
@@ -59,9 +63,12 @@ struct ServerStats {
 
 /// The wire-protocol front of one database (+ optional workflow
 /// engine): a TCP listener, one reader thread per connection, and a
-/// bounded worker pool executing requests through per-connection
-/// Sessions. Stop() drains gracefully — accepting stops, queued work
-/// finishes, responses flush, then sockets close.
+/// bounded worker pool, executing requests through per-connection
+/// Sessions. A reader that decodes an admitted request while the queue
+/// is empty and an execution slot is free serves it itself; otherwise
+/// the request is queued for the pool. Stop() drains gracefully —
+/// accepting stops, inline and queued work finishes, responses flush,
+/// then sockets close.
 class Server {
  public:
   Server(sql::Database* db, wfc::WorkflowEngine* engine,
@@ -122,6 +129,9 @@ class Server {
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void WorkerLoop();
+  uint32_t SlotLimit() const;
+  /// Returns an execution slot and wakes a worker if work is queued.
+  void ReleaseSlot();
   /// Handles one request end-to-end (execute + respond).
   void ServeRequest(const std::shared_ptr<Connection>& conn,
                     const Request& request);
@@ -154,6 +164,11 @@ class Server {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<WorkItem> queue_;
+  /// Requests executing now, inline on readers or on workers; never
+  /// above SlotLimit().
+  uint32_t executing_ = 0;
+  obs::Counter& dispatch_inline_;
+  obs::Counter& dispatch_queued_;
 
   mutable std::mutex stats_mutex_;
   ServerStats stats_;

@@ -64,7 +64,9 @@ Session::Session(std::shared_ptr<sql::Database> conn, WorkflowState* wf)
 
 Response Session::Handle(const Request& request) {
   std::lock_guard<std::mutex> lock(mutex_);
-  obs::MetricsRegistry::Global().GetCounter("net.requests").Increment();
+  static obs::Counter& requests =
+      obs::MetricsRegistry::Global().GetCounter("net.requests");
+  requests.Increment();
   Response response;
   response.request_id = request.request_id;
   switch (request.type) {

@@ -1,9 +1,10 @@
 // Wire-protocol suite: message codec roundtrips, client/server
 // end-to-end execution, protocol hardening (malformed frames, CRC
 // mismatches, oversized messages, half-closes, garbage before the
-// handshake), admission control and load shedding, deadline kills,
-// graceful drain, sys.connections, the durable request ledger
-// (exactly-once keyed requests), and the RemoteService bridge.
+// handshake), admission control and load shedding, inline-versus-queued
+// dispatch under the execution-slot bound, deadline kills, graceful
+// drain, sys.connections, the durable request ledger (exactly-once
+// keyed requests), and the RemoteService bridge.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +32,7 @@
 #include "net/protocol.h"
 #include "net/remote_service.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "sql/database.h"
 #include "sql/introspect.h"
 #include "sql/wal.h"
@@ -156,6 +163,66 @@ struct TestServer {
     return copts;
   }
 };
+
+/// Backs a workflow service that parks every call until Release() and
+/// records how many calls were inside it at once.
+class Latch {
+ public:
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    ++inside_;
+    peak_ = std::max(peak_, inside_);
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    --inside_;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  bool WaitEntered(int calls) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return entered_ >= calls; });
+  }
+  int entered() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entered_;
+  }
+  int peak() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+
+  /// A service named "Hold" whose every call passes this latch.
+  std::shared_ptr<wfc::WebService> Service() {
+    return std::make_shared<wfc::SimpleWebService>(
+        "Hold", std::vector<std::string>{},
+        [this](const std::vector<Value>&) -> Result<Value> {
+          Pass();
+          return Value::Integer(1);
+        });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  int entered_ = 0;
+  int inside_ = 0;
+  int peak_ = 0;
+};
+
+/// Polls `done` every millisecond for up to five seconds.
+bool WaitUntil(const std::function<bool()>& done) {
+  for (int i = 0; i < 5000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
 
 // --- codec roundtrips -------------------------------------------------------
 
@@ -560,6 +627,83 @@ TEST(NetServerTest, FullQueueShedsInsteadOfBuffering) {
   EXPECT_GE(ts.server->stats().shed, 1u);
 }
 
+// --- dispatch: inline on the reader, overflow to the pool --------------------
+
+TEST(NetServerTest, ReadersServeInlineAndOverflowQueuesWithinTheSlotBound) {
+  TestServer ts;
+  ts.options.worker_threads = 1;  // one execution slot
+  Latch latch;
+  ASSERT_TRUE(ts.engine.services().Register(latch.Service()).ok());
+  ASSERT_TRUE(ts.Start().ok());
+  ASSERT_TRUE(ts.server->RegisterSysConnections().ok());
+  obs::Counter& inlined =
+      obs::MetricsRegistry::Global().GetCounter("net.dispatch.inline");
+  obs::Counter& queued =
+      obs::MetricsRegistry::Global().GetCounter("net.dispatch.queued");
+
+  // A lone sequential client always finds the slot free: every request
+  // runs on its own reader, none waits for a worker.
+  {
+    const uint64_t inlined_before = inlined.value();
+    const uint64_t queued_before = queued.value();
+    Client solo(ts.ClientFor("solo"));
+    ASSERT_TRUE(solo.Connect().ok());
+    ASSERT_TRUE(solo.ExecuteSql("CREATE TABLE t (id INTEGER)").ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(solo.ExecuteSql("INSERT INTO t VALUES (1)").ok());
+      ASSERT_TRUE(solo.Ping().ok());
+    }
+    EXPECT_EQ(inlined.value() - inlined_before, 41u);
+    EXPECT_EQ(queued.value() - queued_before, 0u);
+  }
+
+  Client a(ts.ClientFor("a"));
+  Client b(ts.ClientFor("b"));
+  Client c(ts.ClientFor("c"));
+  ASSERT_TRUE(a.Connect().ok());
+  ASSERT_TRUE(b.Connect().ok());
+  ASSERT_TRUE(c.Connect().ok());
+  const uint64_t queued_before = queued.value();
+
+  // A's call takes the only slot, inline on A's reader.
+  Status a_status, b_status, c_status;
+  std::thread ta([&] { a_status = a.InvokeService("Hold", {}).status(); });
+  ASSERT_TRUE(latch.WaitEntered(1));
+  EXPECT_EQ(queued.value(), queued_before);
+
+  // B's Ping finds no free slot and is queued; the pool's worker must
+  // not start it while A holds the slot.
+  std::atomic<bool> b_done{false};
+  std::thread tb([&] {
+    b_status = b.Ping();
+    b_done.store(true);
+  });
+  ASSERT_TRUE(WaitUntil([&] { return queued.value() == queued_before + 1; }));
+  auto depth =
+      ts.db.Execute("SELECT DISTINCT QUEUE_DEPTH FROM sys.connections");
+  ASSERT_TRUE(depth.ok()) << depth.status().ToString();
+  ASSERT_EQ(depth->row_count(), 1u);
+  EXPECT_EQ(depth->rows()[0][0].AsString(), "1");
+
+  // C queues behind B; FIFO means it runs after B, and never beside A.
+  std::thread tc([&] { c_status = c.InvokeService("Hold", {}).status(); });
+  ASSERT_TRUE(WaitUntil([&] { return queued.value() == queued_before + 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(b_done.load());
+  EXPECT_EQ(latch.entered(), 1);
+
+  latch.Release();
+  ta.join();
+  tb.join();
+  tc.join();
+  EXPECT_TRUE(a_status.ok()) << a_status.ToString();
+  EXPECT_TRUE(b_status.ok()) << b_status.ToString();
+  EXPECT_TRUE(c_status.ok()) << c_status.ToString();
+  EXPECT_EQ(latch.entered(), 2);
+  EXPECT_EQ(latch.peak(), 1);
+  EXPECT_EQ(ts.server->stats().shed, 0u);
+}
+
 // --- protocol hardening -----------------------------------------------------
 
 TEST(NetHardeningTest, GarbageBeforeHandshakeIsCutOff) {
@@ -704,6 +848,44 @@ TEST(NetServerTest, StopDrainsGracefully) {
   copts.port = port;
   Client late(copts);
   EXPECT_FALSE(late.Connect().ok());
+}
+
+TEST(NetServerTest, StopFlushesInlineAndQueuedResponses) {
+  TestServer ts;
+  ts.options.worker_threads = 1;
+  Latch latch;
+  ASSERT_TRUE(ts.engine.services().Register(latch.Service()).ok());
+  ASSERT_TRUE(ts.Start().ok());
+  obs::Counter& queued =
+      obs::MetricsRegistry::Global().GetCounter("net.dispatch.queued");
+
+  Client a(ts.ClientFor("a"));
+  Client b(ts.ClientFor("b"));
+  ASSERT_TRUE(a.Connect().ok());
+  ASSERT_TRUE(b.Connect().ok());
+  const uint64_t queued_before = queued.value();
+
+  // A's call runs inline and holds the slot; B's Ping waits in the
+  // queue.
+  Status a_status, b_status;
+  std::thread ta([&] { a_status = a.InvokeService("Hold", {}).status(); });
+  ASSERT_TRUE(latch.WaitEntered(1));
+  std::thread tb([&] { b_status = b.Ping(); });
+  ASSERT_TRUE(WaitUntil([&] { return queued.value() == queued_before + 1; }));
+
+  // Stop while both are pending; give B's reader time to see the stop
+  // and exit. Neither client retries, so each must get its own reply
+  // before its socket closes.
+  std::thread stopper([&] { ts.server->Stop(); });
+  ASSERT_TRUE(WaitUntil([&] { return !ts.server->running(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  latch.Release();
+  stopper.join();
+  ta.join();
+  tb.join();
+  EXPECT_TRUE(a_status.ok()) << a_status.ToString();
+  EXPECT_TRUE(b_status.ok()) << b_status.ToString();
+  EXPECT_EQ(ts.server->stats().requests, 2u);
 }
 
 TEST(NetServerTest, RetryLadderReconnectsAfterServerSideClose) {
