@@ -21,9 +21,10 @@ struct Sequence {
   int64_t next_value = 1;
 };
 
-/// Metadata for a created index. Uniqueness is enforced through the owning
-/// table's UniqueConstraint; non-unique indexes are metadata (the executor
-/// scans; the catalog still records them for the Data Setup pattern).
+/// Metadata for a created index. The owning table holds the index itself
+/// (Table::secondary_indexes), which the planner probes and which, when
+/// `unique`, enforces the key; the catalog entry records it by name for
+/// DROP INDEX, rollback and the Data Setup pattern.
 struct IndexInfo {
   std::string name;
   std::string table_name;

@@ -220,11 +220,12 @@ std::string CanonicalStateDump(Database& db) {
     const Table* table = catalog.FindTable(name);
     if (table == nullptr || table->read_only()) continue;
     out += "TABLE " + CreateTableSql(table->schema()) + "\n";
-    for (const UniqueConstraint& uc : table->unique_constraints()) {
-      out += "  UNIQUE " + uc.name + " (";
-      for (size_t i = 0; i < uc.column_indexes.size(); ++i) {
+    for (const SecondaryIndex& idx : table->secondary_indexes()) {
+      if (!idx.unique) continue;
+      out += "  UNIQUE " + idx.name + " (";
+      for (size_t i = 0; i < idx.column_indexes.size(); ++i) {
         if (i > 0) out += ",";
-        out += table->schema().columns()[uc.column_indexes[i]].name;
+        out += table->schema().columns()[idx.column_indexes[i]].name;
       }
       out += ")\n";
     }

@@ -1522,13 +1522,6 @@ Result<ResultSet> Executor::Execute(const Statement& stmt,
         e.table_name = dt.table_name;
         e.saved_schema = table->schema();
         e.saved_rows = table->rows();
-        for (const UniqueConstraint& uc : table->unique_constraints()) {
-          std::vector<std::string> cols;
-          for (size_t idx : uc.column_indexes) {
-            cols.push_back(table->schema().columns()[idx].name);
-          }
-          e.saved_constraints.emplace_back(uc.name, std::move(cols));
-        }
         e.saved_indexes = db_->catalog().IndexesOnTable(dt.table_name);
         db_->active_undo()->Record(std::move(e));
       }
@@ -1568,18 +1561,8 @@ Result<ResultSet> Executor::Execute(const Statement& stmt,
       const CreateIndexStatement& ci = *stmt.create_index;
       SQLFLOW_ASSIGN_OR_RETURN(Table * table,
                                db_->catalog().GetTable(ci.table_name));
-      if (ci.unique) {
-        SQLFLOW_RETURN_IF_ERROR(
-            table->AddUniqueConstraint(ci.index_name, ci.columns));
-      }
-      Status hst =
-          table->AddSecondaryIndex(ci.index_name, ci.columns, ci.unique);
-      if (!hst.ok()) {
-        if (ci.unique) {
-          (void)table->DropUniqueConstraint(ci.index_name);
-        }
-        return hst;
-      }
+      SQLFLOW_RETURN_IF_ERROR(
+          table->AddSecondaryIndex(ci.index_name, ci.columns, ci.unique));
       IndexInfo info;
       info.name = ci.index_name;
       info.table_name = ci.table_name;
@@ -1588,9 +1571,6 @@ Result<ResultSet> Executor::Execute(const Statement& stmt,
       Status st = db_->catalog().CreateIndex(info);
       if (!st.ok()) {
         (void)table->DropSecondaryIndex(ci.index_name);
-        if (ci.unique) {
-          (void)table->DropUniqueConstraint(ci.index_name);
-        }
         return st;
       }
       db_->BumpSchemaEpoch();
@@ -1615,9 +1595,6 @@ Result<ResultSet> Executor::Execute(const Statement& stmt,
       SQLFLOW_ASSIGN_OR_RETURN(Table * table,
                                db_->catalog().GetTable(info.table_name));
       SQLFLOW_RETURN_IF_ERROR(table->DropSecondaryIndex(info.name));
-      if (info.unique) {
-        SQLFLOW_RETURN_IF_ERROR(table->DropUniqueConstraint(info.name));
-      }
       SQLFLOW_RETURN_IF_ERROR(db_->catalog().DropIndex(info.name));
       // Cached plans may name the dropped index; epoch bump forces a
       // replan (IndexCandidates would also decline, but replanning can

@@ -9,10 +9,10 @@ namespace sqlflow::sql {
 namespace {
 
 /// The columns a compensating DELETE/UPDATE keys on: the table's first
-/// unique constraint (the PRIMARY KEY, when one exists) or every column.
+/// unique index (the PRIMARY KEY, when one exists) or every column.
 std::vector<size_t> KeyColumns(const Table& table) {
-  if (!table.unique_constraints().empty()) {
-    return table.unique_constraints()[0].column_indexes;
+  for (const SecondaryIndex& index : table.secondary_indexes()) {
+    if (index.unique) return index.column_indexes;
   }
   std::vector<size_t> all(table.schema().column_count());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;

@@ -25,7 +25,7 @@ struct InverseStatement {
 /// set_capture_effects + TakeCapturedEffects) into the compensation
 /// program that undoes them on a *committed* database:
 ///
-///   INSERT → DELETE keyed by the table's first unique constraint
+///   INSERT → DELETE keyed by the table's first unique index
 ///            (primary key), falling back to all columns when the table
 ///            has none; NULL key values compare with IS NULL;
 ///   DELETE → re-INSERT of the captured row;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <set>
 
@@ -53,6 +54,49 @@ bool ProbeCompatible(ValueType column_type, ProbeClass cls) {
       return false;  // untyped column: stored values are unconstrained
   }
   return false;
+}
+
+bool IsNaN(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.dbl());
+}
+
+/// The value an equality probe `v` searches a `type` column's ordered
+/// index with: a numeric string probes a numeric column as a Double
+/// ('5' finds 5), everything else as itself. A NULL result means the
+/// predicate is NULL (no row matches); nullopt means the index cannot
+/// answer and a scan must (a probe the scan would reject with a
+/// TypeError, or NaN, whose equality the index order does not mirror).
+/// The full WHERE re-checks every candidate, so a probe only has to
+/// reach every SQL-equal stored value.
+std::optional<Value> CoerceProbe(ValueType type, const Value& v) {
+  ProbeClass cls = ClassifyValue(v);
+  if (cls == ProbeClass::kNull) return Value::Null();
+  if (!ProbeCompatible(type, cls)) return std::nullopt;
+  Value probe = v;
+  if ((type == ValueType::kInteger || type == ValueType::kDouble) &&
+      cls == ProbeClass::kNumString) {
+    Result<double> d = v.AsDouble();
+    if (!d.ok()) return std::nullopt;  // unreachable: cls checked
+    probe = Value::Double(*d);
+  }
+  if (IsNaN(probe)) return std::nullopt;
+  return probe;
+}
+
+/// Slots (ascending) of every key in `index` equal to `key`. Usually
+/// one entry; integers past 2^53 can all equal one Double probe, so the
+/// run may span several keys, whose postings are merged.
+std::vector<size_t> EqualKeySlots(const SecondaryIndex& index,
+                                  const Row& key) {
+  auto [it, end] = index.ordered.equal_range(key);
+  if (it == end) return {};
+  if (std::next(it) == end) return it->second;
+  std::vector<size_t> out;
+  for (; it != end; ++it) {
+    out.insert(out.end(), it->second.begin(), it->second.end());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// Schema ordinal of a column reference that resolves against this
@@ -196,7 +240,7 @@ std::optional<IndexLookupPlan> PlanTableAccess(const Table& table,
         index.unique
             ? 1.0
             : rows / std::max<double>(
-                         1.0, static_cast<double>(index.buckets.size()));
+                         1.0, static_cast<double>(index.ordered.size()));
     int tie = (index.unique ? 1000 : 0) +
               static_cast<int>(index.column_indexes.size());
     if (best == nullptr || cost < best_cost ||
@@ -390,7 +434,7 @@ double EstimateLookupCost(const Table& table, const IndexLookupPlan& plan) {
       index->unique
           ? 1.0
           : rows / std::max<double>(
-                       1.0, static_cast<double>(index->buckets.size()));
+                       1.0, static_cast<double>(index->ordered.size()));
   if (plan.in_list != nullptr) {
     return per_key *
            static_cast<double>(plan.in_list->children.size() - 1);
@@ -558,44 +602,36 @@ std::optional<std::vector<size_t>> IndexCandidates(
     for (size_t i = 1; i < plan.in_list->children.size(); ++i) {
       Result<Value> v = EvaluateExpr(*plan.in_list->children[i], ctx);
       if (!v.ok()) return std::nullopt;  // e.g. unbound parameter: scan
-      ProbeClass cls = ClassifyValue(*v);
-      if (cls == ProbeClass::kNull) continue;  // NULL element never matches
-      if (!ProbeCompatible(type, cls)) return std::nullopt;
-      std::string key;
-      AppendLookupKeyPart(*v, &key);
-      if (const std::vector<size_t>* slots = table.IndexBucket(*index, key)) {
-        out.insert(out.end(), slots->begin(), slots->end());
-      }
+      std::optional<Value> probe = CoerceProbe(type, *v);
+      if (!probe.has_value()) return std::nullopt;
+      if (probe->is_null()) continue;  // NULL element never matches
+      std::vector<size_t> slots = EqualKeySlots(*index, Row{*probe});
+      out.insert(out.end(), slots.begin(), slots.end());
     }
-    // Distinct IN elements can normalize to the same key (1 and '1.0'):
-    // dedupe and restore table order.
+    // Distinct IN elements can probe the same key (1 and '1.0'): dedupe
+    // and restore table order.
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
 
-  std::string key;
+  Row key;
+  key.reserve(plan.key_columns.size());
   for (size_t i = 0; i < plan.key_columns.size(); ++i) {
     Result<Value> v = EvaluateExpr(*plan.key_values[i], ctx);
     if (!v.ok()) return std::nullopt;
-    ProbeClass cls = ClassifyValue(*v);
-    if (cls == ProbeClass::kNull) {
+    ValueType type = table.schema().columns()[plan.key_columns[i]].type;
+    std::optional<Value> probe = CoerceProbe(type, *v);
+    if (!probe.has_value()) return std::nullopt;
+    if (probe->is_null()) {
       return std::vector<size_t>{};  // col = NULL is never true
     }
-    ValueType type = table.schema().columns()[plan.key_columns[i]].type;
-    if (!ProbeCompatible(type, cls)) return std::nullopt;
-    AppendLookupKeyPart(*v, &key);
+    key.push_back(std::move(*probe));
   }
-  const std::vector<size_t>* slots = table.IndexBucket(*index, key);
-  if (slots == nullptr) return std::vector<size_t>{};
-  return *slots;
+  return EqualKeySlots(*index, key);
 }
 
 namespace {
-
-bool IsNaN(const Value& v) {
-  return v.type() == ValueType::kDouble && std::isnan(v.dbl());
-}
 
 /// Byte-successor of `prefix`: the smallest string greater than every
 /// string starting with `prefix`. Empty result ⇒ no finite successor
@@ -638,18 +674,10 @@ std::optional<std::vector<size_t>> RangeCandidates(const Table& table,
     ValueType type = table.schema().columns()[key_col].type;
     Result<Value> v = EvaluateExpr(*pe, ctx);
     if (!v.ok()) return std::nullopt;
-    if (v->is_null()) return std::vector<size_t>{};  // col = NULL ⇒ NULL
-    ProbeClass cls = ClassifyValue(*v);
-    if (!ProbeCompatible(type, cls)) return std::nullopt;
-    Value probe = *v;
-    if ((type == ValueType::kInteger || type == ValueType::kDouble) &&
-        cls == ProbeClass::kNumString) {
-      Result<double> d = v->AsDouble();
-      if (!d.ok()) return std::nullopt;  // unreachable: cls checked
-      probe = Value::Double(*d);  // '5' probes as 5.0
-    }
-    if (IsNaN(probe)) return std::nullopt;  // NaN equality: scan decides
-    eq_prefix.push_back(std::move(probe));
+    std::optional<Value> probe = CoerceProbe(type, *v);
+    if (!probe.has_value()) return std::nullopt;
+    if (probe->is_null()) return std::vector<size_t>{};  // col = NULL ⇒ NULL
+    eq_prefix.push_back(std::move(*probe));
   }
 
   OrderedBound lower;
@@ -712,17 +740,10 @@ std::optional<std::vector<size_t>> RangeCandidates(const Table& table,
         *out = *v;
         return true;
       }
-      ProbeClass cls = ClassifyValue(*v);
-      if (!ProbeCompatible(type, cls)) return std::nullopt;
-      Value probe = *v;
-      if ((type == ValueType::kInteger || type == ValueType::kDouble) &&
-          cls == ProbeClass::kNumString) {
-        Result<double> d = v->AsDouble();
-        if (!d.ok()) return std::nullopt;  // unreachable: cls checked
-        probe = Value::Double(*d);  // '5' probes as 5.0
-      }
-      if (IsNaN(probe)) return std::nullopt;  // x > NaN is true on scan
-      *out = std::move(probe);
+      // A NaN bound declines too: x > NaN is true on scan.
+      std::optional<Value> probe = CoerceProbe(type, *v);
+      if (!probe.has_value()) return std::nullopt;
+      *out = std::move(*probe);
       return true;
     };
     if (plan.lower.probe != nullptr) {

@@ -54,37 +54,6 @@ struct Table::ParsedChecks {
   std::vector<ExprPtr> expressions;
 };
 
-namespace {
-
-// Serializes one value with a type tag so Integer(1) and String("1")
-// produce distinct keys.
-void AppendKeyPart(const Value& v, std::string* out) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      out->push_back('N');
-      break;
-    case ValueType::kBoolean:
-      out->push_back('B');
-      out->push_back(v.boolean() ? '1' : '0');
-      break;
-    case ValueType::kInteger:
-      out->push_back('I');
-      *out += std::to_string(v.integer());
-      break;
-    case ValueType::kDouble:
-      out->push_back('D');
-      *out += std::to_string(v.dbl());
-      break;
-    case ValueType::kString:
-      out->push_back('S');
-      *out += v.str();
-      break;
-  }
-  out->push_back('\x1f');
-}
-
-}  // namespace
-
 void AppendLookupKeyPart(const Value& v, std::string* out) {
   switch (v.type()) {
     case ValueType::kNull:
@@ -179,27 +148,14 @@ bool OrderedKeyLess::operator()(const OrderedBound& a, const Row& b) const {
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   int pk = schema_.primary_key_index();
   if (pk >= 0) {
-    UniqueConstraint uc;
-    uc.name = "__pk_" + schema_.table_name();
-    uc.column_indexes.push_back(static_cast<size_t>(pk));
-    unique_constraints_.push_back(std::move(uc));
-    // The primary key also gets a point-lookup index, so every table
-    // with a PK supports O(1) key access out of the box.
+    // The primary key is a unique index: it enforces the key and gives
+    // every table with a PK indexed key access out of the box.
     SecondaryIndex idx;
     idx.name = "__pk_" + schema_.table_name();
     idx.column_indexes.push_back(static_cast<size_t>(pk));
     idx.unique = true;
     secondary_indexes_.push_back(std::move(idx));
   }
-}
-
-std::string Table::MakeIndexKey(const SecondaryIndex& index,
-                                const Row& row) const {
-  std::string key;
-  for (size_t idx : index.column_indexes) {
-    AppendLookupKeyPart(row[idx], &key);
-  }
-  return key;
 }
 
 Row Table::MakeOrderedKey(const SecondaryIndex& index,
@@ -232,20 +188,12 @@ IndexMaintenanceHook ExchangeIndexMaintenanceHook(
 
 void Table::IndexRow(const Row& row, size_t slot) {
   for (SecondaryIndex& index : secondary_indexes_) {
-    InsertSlotSorted(&index.buckets[MakeIndexKey(index, row)], slot);
     InsertSlotSorted(&index.ordered[MakeOrderedKey(index, row)], slot);
   }
 }
 
 void Table::UnindexRow(const Row& row, size_t slot) {
   for (SecondaryIndex& index : secondary_indexes_) {
-    auto it = index.buckets.find(MakeIndexKey(index, row));
-    if (it != index.buckets.end()) {
-      std::vector<size_t>& slots = it->second;
-      auto pos = std::lower_bound(slots.begin(), slots.end(), slot);
-      if (pos != slots.end() && *pos == slot) slots.erase(pos);
-      if (slots.empty()) index.buckets.erase(it);
-    }
     auto oit = index.ordered.find(MakeOrderedKey(index, row));
     if (oit != index.ordered.end()) {
       std::vector<size_t>& slots = oit->second;
@@ -258,11 +206,6 @@ void Table::UnindexRow(const Row& row, size_t slot) {
 
 void Table::ShiftIndexSlotsUp(size_t at) {
   for (SecondaryIndex& index : secondary_indexes_) {
-    for (auto& [key, slots] : index.buckets) {
-      for (size_t& slot : slots) {
-        if (slot >= at) ++slot;
-      }
-    }
     for (auto& [key, slots] : index.ordered) {
       for (size_t& slot : slots) {
         if (slot >= at) ++slot;
@@ -273,11 +216,6 @@ void Table::ShiftIndexSlotsUp(size_t at) {
 
 void Table::ShiftIndexSlotsDown(size_t at) {
   for (SecondaryIndex& index : secondary_indexes_) {
-    for (auto& [key, slots] : index.buckets) {
-      for (size_t& slot : slots) {
-        if (slot > at) --slot;
-      }
-    }
     for (auto& [key, slots] : index.ordered) {
       for (size_t& slot : slots) {
         if (slot > at) --slot;
@@ -286,94 +224,72 @@ void Table::ShiftIndexSlotsDown(size_t at) {
   }
 }
 
-void Table::RebuildSecondaryIndexes() {
-  for (SecondaryIndex& index : secondary_indexes_) {
-    index.buckets.clear();
-    index.ordered.clear();
-    for (size_t slot = 0; slot < rows_.size(); ++slot) {
-      index.buckets[MakeIndexKey(index, rows_[slot])].push_back(slot);
-      index.ordered[MakeOrderedKey(index, rows_[slot])].push_back(slot);
-    }
+void Table::BuildIndex(SecondaryIndex* index) const {
+  index->ordered.clear();
+  for (size_t slot = 0; slot < rows_.size(); ++slot) {
+    index->ordered[MakeOrderedKey(*index, rows_[slot])].push_back(slot);
   }
 }
 
-std::string Table::MakeKey(const UniqueConstraint& uc,
-                           const Row& row) const {
-  std::string key;
-  for (size_t idx : uc.column_indexes) {
-    AppendKeyPart(row[idx], &key);
+namespace {
+
+/// True when `a` and `b` carry the same key under `index`'s order.
+bool SameKey(const SecondaryIndex& index, const Row& a, const Row& b) {
+  for (size_t col : index.column_indexes) {
+    if (OrderedValueCompare(a[col], b[col]) != 0) return false;
   }
-  return key;
+  return true;
 }
 
-const UniqueConstraint* Table::FindUniqueViolation(const Row& row,
-                                                   size_t ignore_index,
-                                                   bool has_ignore,
-                                                   std::string* key) const {
-  for (const UniqueConstraint& uc : unique_constraints_) {
-    std::string candidate = MakeKey(uc, row);
-    if (uc.keys.count(candidate) == 0) continue;
-    // The key exists. If we're updating a row, the collision may be with
-    // the row being replaced — in that case it's fine if the old row at
-    // ignore_index carries the same key.
-    if (has_ignore) {
-      const Row& old_row = rows_[ignore_index];
-      if (MakeKey(uc, old_row) == candidate) continue;
+}  // namespace
+
+const SecondaryIndex* Table::FindUniqueViolation(const Row& row,
+                                                 size_t ignore_slot,
+                                                 size_t* holder) const {
+  for (const SecondaryIndex& index : secondary_indexes_) {
+    if (!index.unique) continue;
+    auto it = index.ordered.find(MakeOrderedKey(index, row));
+    if (it == index.ordered.end()) continue;
+    for (size_t slot : it->second) {
+      if (slot != ignore_slot) {
+        *holder = slot;
+        return &index;
+      }
     }
-    *key = std::move(candidate);
-    return &uc;
   }
   return nullptr;
 }
 
-Status Table::CheckUnique(const Row& row, size_t ignore_index,
-                          bool has_ignore) const {
-  std::string key;
-  const UniqueConstraint* uc =
-      FindUniqueViolation(row, ignore_index, has_ignore, &key);
-  if (uc == nullptr) return Status::OK();
-  return Status::ConstraintError(
-      "unique constraint '" + uc->name + "' violated in table '" +
-      schema_.table_name() + "'");
-}
-
-Status Table::ClassifyUniqueViolation(const UniqueConstraint& uc,
-                                      const std::string& key,
+Status Table::ClassifyUniqueViolation(const SecondaryIndex& index,
+                                      size_t holder,
                                       const MvccTxn* txn) const {
-  // Under MVCC, find the row actually holding the colliding key: if it
-  // is pending under another transaction, or committed after `txn`'s
-  // snapshot, this is a transient write-write race (the other writer
-  // may yet roll back), not a durable constraint violation. Failure
-  // path only, so the scan is acceptable.
+  // Under MVCC, a holder pending under another transaction, or
+  // committed after `txn`'s snapshot, makes this a transient
+  // write-write race (the other writer may yet roll back), not a
+  // durable constraint violation.
   if (txn != nullptr) {
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (MakeKey(uc, rows_[i]) != key) continue;
-      const RowMeta& m = meta_[i];
-      if (m.writer != 0 && m.writer != txn->id) {
-        return Status::Deadlock(
-            "unique key on '" + schema_.table_name() +
-            "' contended by in-flight transaction (constraint '" +
-            uc.name + "')");
-      }
-      if (m.writer == 0 && m.commit_ts != 0 && m.commit_ts > txn->begin_ts) {
-        return Status::Unavailable(
-            "unique key on '" + schema_.table_name() +
-            "' taken by a transaction committed after this snapshot "
-            "(constraint '" + uc.name + "')");
-      }
-      break;
+    const RowMeta& m = meta_[holder];
+    if (m.writer != 0 && m.writer != txn->id) {
+      return Status::Deadlock(
+          "unique key on '" + schema_.table_name() +
+          "' contended by in-flight transaction (constraint '" +
+          index.name + "')");
+    }
+    if (m.writer == 0 && m.commit_ts != 0 && m.commit_ts > txn->begin_ts) {
+      return Status::Unavailable(
+          "unique key on '" + schema_.table_name() +
+          "' taken by a transaction committed after this snapshot "
+          "(constraint '" + index.name + "')");
     }
   }
   return Status::ConstraintError(
-      "unique constraint '" + uc.name + "' violated in table '" +
+      "unique constraint '" + index.name + "' violated in table '" +
       schema_.table_name() + "'");
 }
 
 Status Table::CheckStashedKeyConflict(const Row& row,
                                       const MvccTxn& txn) const {
-  if (stash_count_ == 0 || unique_constraints_.empty()) {
-    return Status::OK();
-  }
+  if (stash_count_ == 0) return Status::OK();
   for (const VersionShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (const StashedVersion& v : shard.stash) {
@@ -382,18 +298,18 @@ Status Table::CheckStashedKeyConflict(const Row& row,
       bool committed_after_snapshot =
           v.superseder_ts != kPendingTs && v.superseder_ts > txn.begin_ts;
       if (!pending_other && !committed_after_snapshot) continue;
-      for (const UniqueConstraint& uc : unique_constraints_) {
-        if (MakeKey(uc, v.image) != MakeKey(uc, row)) continue;
+      for (const SecondaryIndex& index : secondary_indexes_) {
+        if (!index.unique || !SameKey(index, v.image, row)) continue;
         if (pending_other) {
           return Status::Deadlock(
               "unique key on '" + schema_.table_name() +
               "' held by a version an in-flight transaction displaced "
-              "(constraint '" + uc.name + "')");
+              "(constraint '" + index.name + "')");
         }
         return Status::Unavailable(
             "unique key on '" + schema_.table_name() +
             "' released by a transaction committed after this "
-            "snapshot (constraint '" + uc.name + "')");
+            "snapshot (constraint '" + index.name + "')");
       }
     }
   }
@@ -434,18 +350,6 @@ void Table::StashAndMarkPending(size_t index, const MvccTxn& txn) {
   m.writer = txn.id;
   m.commit_ts = kPendingTs;
   ++pending_row_count_;
-}
-
-void Table::AddKeys(const Row& row) {
-  for (UniqueConstraint& uc : unique_constraints_) {
-    uc.keys.insert(MakeKey(uc, row));
-  }
-}
-
-void Table::RemoveKeys(const Row& row) {
-  for (UniqueConstraint& uc : unique_constraints_) {
-    uc.keys.erase(MakeKey(uc, row));
-  }
 }
 
 Status Table::CheckRowConstraints(const Row& row) {
@@ -498,16 +402,15 @@ Status Table::Insert(const Row& row, UndoLog* undo) {
     SQLFLOW_ASSIGN_OR_RETURN(coerced[i], schema_.CoerceValue(i, row[i]));
   }
   const MvccTxn* txn = undo != nullptr ? undo->txn : nullptr;
-  {
-    std::string key;
-    const UniqueConstraint* uc = FindUniqueViolation(coerced, 0, false, &key);
-    if (uc != nullptr) return ClassifyUniqueViolation(*uc, key, txn);
+  size_t holder = 0;
+  if (const SecondaryIndex* taken =
+          FindUniqueViolation(coerced, rows_.size(), &holder)) {
+    return ClassifyUniqueViolation(*taken, holder, txn);
   }
   if (txn != nullptr) {
     SQLFLOW_RETURN_IF_ERROR(CheckStashedKeyConflict(coerced, *txn));
   }
   SQLFLOW_RETURN_IF_ERROR(CheckRowConstraints(coerced));
-  AddKeys(coerced);
   rows_.push_back(std::move(coerced));
   RowMeta meta;
   meta.row_id = next_row_id_++;
@@ -521,8 +424,8 @@ Status Table::Insert(const Row& row, UndoLog* undo) {
     undo->txn->Touch(ToUpperAscii(schema_.table_name()));
   }
   // Undo is recorded *before* index maintenance so that a fault between
-  // the two (the hook below) is recoverable: RawRemoveAt un-keys the row
-  // and tolerates the postings it never got.
+  // the two (the hook below) is recoverable: RawRemoveAt tolerates the
+  // postings the row never got.
   if (undo != nullptr) {
     UndoEntry e;
     e.kind = UndoEntry::Kind::kInsert;
@@ -559,11 +462,10 @@ Status Table::Update(size_t index, const Row& new_row, UndoLog* undo) {
   if (txn != nullptr) {
     SQLFLOW_RETURN_IF_ERROR(CheckWriteConflict(index, *txn));
   }
-  {
-    std::string key;
-    const UniqueConstraint* uc = FindUniqueViolation(coerced, index, true,
-                                                     &key);
-    if (uc != nullptr) return ClassifyUniqueViolation(*uc, key, txn);
+  size_t holder = 0;
+  if (const SecondaryIndex* taken =
+          FindUniqueViolation(coerced, index, &holder)) {
+    return ClassifyUniqueViolation(*taken, holder, txn);
   }
   if (txn != nullptr) {
     SQLFLOW_RETURN_IF_ERROR(CheckStashedKeyConflict(coerced, *txn));
@@ -575,9 +477,7 @@ Status Table::Update(size_t index, const Row& new_row, UndoLog* undo) {
     undo->txn->Touch(ToUpperAscii(schema_.table_name()));
   }
   Row old_row = rows_[index];
-  RemoveKeys(old_row);
   UnindexRow(old_row, index);
-  AddKeys(coerced);
   rows_[index] = std::move(coerced);
   // Same ordering rationale as Insert: the undo entry lands before index
   // maintenance, so a fault at the hook leaves a state RawReplaceAt can
@@ -637,7 +537,6 @@ Status Table::Delete(size_t index, UndoLog* undo) {
     undo->txn->Touch(ToUpperAscii(schema_.table_name()));
   }
   Row old_row = std::move(rows_[index]);
-  RemoveKeys(old_row);
   UnindexRow(old_row, index);
   rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(index));
   if (prior_meta.writer != 0) --pending_row_count_;
@@ -678,51 +577,7 @@ void Table::Clear(UndoLog* undo) {
     shard.stash.clear();
   }
   stash_count_ = 0;
-  for (UniqueConstraint& uc : unique_constraints_) uc.keys.clear();
-  for (SecondaryIndex& index : secondary_indexes_) {
-    index.buckets.clear();
-    index.ordered.clear();
-  }
-}
-
-Status Table::AddUniqueConstraint(
-    const std::string& name, const std::vector<std::string>& columns) {
-  for (const UniqueConstraint& uc : unique_constraints_) {
-    if (EqualsIgnoreCase(uc.name, name)) {
-      return Status::AlreadyExists("constraint '" + name +
-                                   "' already exists");
-    }
-  }
-  UniqueConstraint uc;
-  uc.name = name;
-  for (const std::string& col : columns) {
-    int idx = schema_.FindColumn(col);
-    if (idx < 0) {
-      return Status::NotFound("no column '" + col + "' in table '" +
-                              schema_.table_name() + "'");
-    }
-    uc.column_indexes.push_back(static_cast<size_t>(idx));
-  }
-  for (const Row& row : rows_) {
-    std::string key = MakeKey(uc, row);
-    if (!uc.keys.insert(key).second) {
-      return Status::ConstraintError(
-          "existing data violates unique constraint '" + name + "'");
-    }
-  }
-  unique_constraints_.push_back(std::move(uc));
-  return Status::OK();
-}
-
-Status Table::DropUniqueConstraint(const std::string& name) {
-  for (auto it = unique_constraints_.begin();
-       it != unique_constraints_.end(); ++it) {
-    if (EqualsIgnoreCase(it->name, name)) {
-      unique_constraints_.erase(it);
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("no constraint '" + name + "'");
+  for (SecondaryIndex& index : secondary_indexes_) index.ordered.clear();
 }
 
 ResultSet Table::Scan() const {
@@ -745,7 +600,6 @@ size_t Table::ApproxByteSize() const {
 }
 
 void Table::RawInsertAt(size_t index, Row row) {
-  AddKeys(row);
   RowMeta meta;
   meta.row_id = next_row_id_++;
   if (index >= rows_.size()) {
@@ -763,7 +617,6 @@ void Table::RawInsertAt(size_t index, Row row) {
 
 Row Table::RawRemoveAt(size_t index) {
   Row row = std::move(rows_[index]);
-  RemoveKeys(row);
   UnindexRow(row, index);
   rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(index));
   if (meta_[index].writer != 0) --pending_row_count_;
@@ -773,9 +626,7 @@ Row Table::RawRemoveAt(size_t index) {
 }
 
 void Table::RawReplaceAt(size_t index, Row row) {
-  RemoveKeys(rows_[index]);
   UnindexRow(rows_[index], index);
-  AddKeys(row);
   rows_[index] = std::move(row);
   IndexRow(rows_[index], index);
 }
@@ -795,15 +646,10 @@ void Table::RawRestoreAll(std::vector<Row> rows) {
     shard.stash.clear();
   }
   stash_count_ = 0;
-  for (UniqueConstraint& uc : unique_constraints_) {
-    uc.keys.clear();
-    for (const Row& row : rows_) uc.keys.insert(MakeKey(uc, row));
-  }
-  RebuildSecondaryIndexes();
+  for (SecondaryIndex& index : secondary_indexes_) BuildIndex(&index);
 }
 
 void Table::ReplayInsert(Row row, uint64_t row_id) {
-  AddKeys(row);
   RowMeta meta;
   meta.row_id = row_id;
   rows_.push_back(std::move(row));
@@ -1029,9 +875,14 @@ Status Table::AddSecondaryIndex(const std::string& name,
     }
     index.column_indexes.push_back(static_cast<size_t>(idx));
   }
-  for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    index.buckets[MakeIndexKey(index, rows_[slot])].push_back(slot);
-    index.ordered[MakeOrderedKey(index, rows_[slot])].push_back(slot);
+  BuildIndex(&index);
+  if (unique) {
+    for (const auto& [key, slots] : index.ordered) {
+      if (slots.size() > 1) {
+        return Status::ConstraintError(
+            "existing data violates unique constraint '" + name + "'");
+      }
+    }
   }
   secondary_indexes_.push_back(std::move(index));
   return Status::OK();
@@ -1054,13 +905,6 @@ const SecondaryIndex* Table::FindSecondaryIndex(
     if (EqualsIgnoreCase(index.name, name)) return &index;
   }
   return nullptr;
-}
-
-const std::vector<size_t>* Table::IndexBucket(
-    const SecondaryIndex& index, const std::string& serialized_key) const {
-  auto it = index.buckets.find(serialized_key);
-  if (it == index.buckets.end()) return nullptr;
-  return &it->second;
 }
 
 }  // namespace sqlflow::sql

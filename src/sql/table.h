@@ -8,8 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -38,21 +36,12 @@ using IndexMaintenanceHook =
 IndexMaintenanceHook ExchangeIndexMaintenanceHook(
     IndexMaintenanceHook next);
 
-/// Secondary uniqueness constraint created by CREATE UNIQUE INDEX (the
-/// PRIMARY KEY constraint is modelled the same way). Keys are serialized
-/// row projections.
-struct UniqueConstraint {
-  std::string name;
-  std::vector<size_t> column_indexes;
-  std::unordered_set<std::string> keys;
-};
-
 /// Serializes one value into `out` under *SQL equality* normalization:
 /// two values that compare equal under the executor's comparison rules
 /// (Integer 1, Double 1.0, String "1") produce the same bytes. Distinct
 /// values may collide (e.g. byte-different numeric strings "1.0"/"1.00");
-/// index consumers must re-check the predicate on every candidate, so a
-/// collision costs time, never correctness.
+/// consumers (the row and batch hash joins) must re-check the predicate on
+/// every candidate, so a collision costs time, never correctness.
 void AppendLookupKeyPart(const Value& v, std::string* out);
 
 /// Value order used by ordered indexes. Identical to Value::Compare
@@ -88,16 +77,20 @@ struct OrderedKeyLess {
   bool operator()(const OrderedBound& a, const Row& b) const;
 };
 
-/// Secondary index: serialized key → row slots (ascending) for point
-/// lookups, plus the same postings keyed by the projected key row in
-/// value order for bounded range scans and sorted traversal. Slots are
-/// positions in Table::rows() and are kept consistent by every mutation
-/// path, including the Raw* undo-replay entry points.
+/// Secondary index (the PRIMARY KEY is one too): projected key row →
+/// row slots (ascending), in OrderedValueCompare order. The one map
+/// serves point and IN-list probes, bounded range scans, sorted
+/// traversal and — for a unique index — the uniqueness check: a key is
+/// taken when its posting holds a slot other than the row being
+/// written. Keys equal under that order share one entry, so a unique
+/// index refuses a second NULL, a second NaN, and -0.0 after 0.0 (SQL
+/// equality for typed columns). Slots are positions in Table::rows()
+/// and are kept consistent by every mutation path, including the Raw*
+/// undo-replay entry points.
 struct SecondaryIndex {
   std::string name;
   std::vector<size_t> column_indexes;
   bool unique = false;
-  std::unordered_map<std::string, std::vector<size_t>> buckets;
   std::map<Row, std::vector<size_t>, OrderedKeyLess> ordered;
 };
 
@@ -129,7 +122,7 @@ struct StashedVersion {
 };
 
 /// Heap-organized in-memory table. All mutations go through Insert/Update/
-/// Delete so that uniqueness constraints stay maintained and undo records
+/// Delete so that unique indexes stay enforced and undo records
 /// are written when a transaction is active (`undo != nullptr`). When the
 /// undo log carries an MVCC transaction view, mutations additionally
 /// version rows: write-write conflicts abort with a transient Status
@@ -171,18 +164,10 @@ class Table {
   /// Removes all rows (TRUNCATE); one bulk undo record.
   void Clear(UndoLog* undo);
 
-  /// Adds a uniqueness constraint over the named columns; fails if
-  /// existing data violates it.
-  Status AddUniqueConstraint(const std::string& name,
-                             const std::vector<std::string>& columns);
-  Status DropUniqueConstraint(const std::string& name);
-  const std::vector<UniqueConstraint>& unique_constraints() const {
-    return unique_constraints_;
-  }
-
-  /// Builds a point-lookup hash index over the named columns from the
-  /// current data. Never fails on duplicates (uniqueness is enforced
-  /// separately through AddUniqueConstraint).
+  /// Builds an ordered index over the named columns from the current
+  /// data. A `unique` index enforces its key on every later write and
+  /// is refused (ConstraintError) when existing rows already repeat a
+  /// key.
   Status AddSecondaryIndex(const std::string& name,
                            const std::vector<std::string>& columns,
                            bool unique);
@@ -192,10 +177,6 @@ class Table {
   }
   /// nullptr if absent (case-insensitive).
   const SecondaryIndex* FindSecondaryIndex(const std::string& name) const;
-  /// Row slots whose index key equals `serialized_key`, or nullptr when
-  /// the bucket is empty. Slots are ascending table positions.
-  const std::vector<size_t>* IndexBucket(
-      const SecondaryIndex& index, const std::string& serialized_key) const;
 
   /// Copies all rows (with column names) into a ResultSet.
   ResultSet Scan() const;
@@ -204,8 +185,8 @@ class Table {
   size_t ApproxByteSize() const;
 
   // --- low-level access used by UndoLog replay only ------------------------
-  // These bypass coercion (rows were valid when recorded) but still
-  // maintain the uniqueness key sets.
+  // These bypass coercion and uniqueness checks (rows were valid when
+  // recorded) but still maintain every index.
   void RawInsertAt(size_t index, Row row);
   Row RawRemoveAt(size_t index);
   void RawReplaceAt(size_t index, Row row);
@@ -214,9 +195,9 @@ class Table {
   // --- WAL replay / snapshot entry points ----------------------------------
   // Recovery-only: applied to a freshly built table outside any
   // transaction. They bypass coercion (the effects were valid when they
-  // committed) but maintain uniqueness keys and secondary indexes, and
-  // they preserve the *logged* row id — unlike RawInsertAt, which mints
-  // a fresh one — so later log records can address the row.
+  // committed) but maintain every index, and they preserve the *logged*
+  // row id — unlike RawInsertAt, which mints a fresh one — so later log
+  // records can address the row.
 
   void ReplayInsert(Row row, uint64_t row_id);
   /// kDataLoss when `row_id` is not live (a log that updates or deletes
@@ -298,20 +279,18 @@ class Table {
     std::vector<StashedVersion> stash;
   };
 
-  Status CheckUnique(const Row& row, size_t ignore_index,
-                     bool has_ignore) const;
-  /// First violated unique constraint (with the offending key), or
-  /// nullptr when the row is unique.
-  const UniqueConstraint* FindUniqueViolation(const Row& row,
-                                              size_t ignore_index,
-                                              bool has_ignore,
-                                              std::string* key) const;
+  /// First unique index whose posting for `row`'s key holds a slot
+  /// other than `ignore_slot` (the row being updated; rows().size() for
+  /// an insert), with that holder's slot; nullptr when every key is
+  /// free.
+  const SecondaryIndex* FindUniqueViolation(const Row& row,
+                                            size_t ignore_slot,
+                                            size_t* holder) const;
   /// Classifies a unique violation under MVCC: a collision with a row
   /// another transaction has in flight (or committed after `txn`'s
   /// snapshot) is a transient write-write conflict, not a constraint
   /// error.
-  Status ClassifyUniqueViolation(const UniqueConstraint& uc,
-                                 const std::string& key,
+  Status ClassifyUniqueViolation(const SecondaryIndex& index, size_t holder,
                                  const MvccTxn* txn) const;
   /// Guards writes against keys that are absent from the live indexes
   /// only because an in-flight transaction deleted (or re-keyed) the
@@ -337,14 +316,9 @@ class Table {
   /// Evaluates the schema's CHECK constraints against `row`; a FALSE
   /// result is a constraint error (NULL/unknown passes, per SQL).
   Status CheckRowConstraints(const Row& row);
-  void AddKeys(const Row& row);
-  void RemoveKeys(const Row& row);
-  std::string MakeKey(const UniqueConstraint& uc, const Row& row) const;
-
-  std::string MakeIndexKey(const SecondaryIndex& index, const Row& row) const;
   Row MakeOrderedKey(const SecondaryIndex& index, const Row& row) const;
   /// Registers/unregisters `row` (living at `slot`) in every secondary
-  /// index, keeping each bucket's slot list sorted.
+  /// index, keeping each posting's slot list sorted.
   void IndexRow(const Row& row, size_t slot);
   void UnindexRow(const Row& row, size_t slot);
   /// Renumbers slots after a row insertion/removal at `at`: every slot
@@ -352,7 +326,8 @@ class Table {
   /// affected row was at the end of the table.
   void ShiftIndexSlotsUp(size_t at);
   void ShiftIndexSlotsDown(size_t at);
-  void RebuildSecondaryIndexes();
+  /// Refills `index` from the current rows.
+  void BuildIndex(SecondaryIndex* index) const;
 
   TableSchema schema_;
   bool read_only_ = false;
@@ -368,7 +343,6 @@ class Table {
   size_t stash_count_ = 0;
   /// Highest commit timestamp stamped onto this table's rows.
   uint64_t max_commit_ts_ = 0;
-  std::vector<UniqueConstraint> unique_constraints_;
   std::vector<SecondaryIndex> secondary_indexes_;
   /// Parsed CHECK expressions, built lazily from the schema's text.
   struct ParsedChecks;

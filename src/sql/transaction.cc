@@ -97,19 +97,9 @@ void UndoOne(UndoEntry& e, Database* db, const MvccTxn* txn) {
     break;
   case UndoEntry::Kind::kDropTable: {
     auto table = std::make_unique<Table>(e.saved_schema);
-    // Re-create secondary constraints, then restore the data. The
-    // PRIMARY KEY constraint is rebuilt by the Table constructor;
-    // skip saved constraints with the same auto-generated name.
-    for (const auto& [name, cols] : e.saved_constraints) {
-      bool is_pk = !table->unique_constraints().empty() &&
-                   table->unique_constraints()[0].name == name;
-      if (!is_pk) {
-        (void)table->AddUniqueConstraint(name, cols);
-      }
-    }
-    // Re-register dropped index metadata and rebuild the hash
-    // structures (DropTable erased both). The PRIMARY KEY secondary
-    // index is re-created by the Table constructor.
+    // Re-register the dropped indexes (metadata and structure; DropTable
+    // erased both), then restore the data, which refills them. The
+    // PRIMARY KEY index is re-created by the Table constructor.
     for (const IndexInfo& info : e.saved_indexes) {
       (void)catalog.CreateIndex(info);
       (void)table->AddSecondaryIndex(info.name, info.columns,
@@ -137,10 +127,7 @@ void UndoOne(UndoEntry& e, Database* db, const MvccTxn* txn) {
   }
   case UndoEntry::Kind::kCreateIndex: {
     Table* table = catalog.FindTable(e.index_table);
-    if (table != nullptr) {
-      (void)table->DropUniqueConstraint(e.table_name);
-      (void)table->DropSecondaryIndex(e.table_name);
-    }
+    if (table != nullptr) (void)table->DropSecondaryIndex(e.table_name);
     (void)catalog.DropIndex(e.table_name);
     break;
   }
@@ -150,9 +137,6 @@ void UndoOne(UndoEntry& e, Database* db, const MvccTxn* txn) {
     // remaining data entries keeps it maintained from here on.
     for (IndexInfo& info : e.saved_indexes) {
       if (Table* table = catalog.FindTable(info.table_name)) {
-        if (info.unique) {
-          (void)table->AddUniqueConstraint(info.name, info.columns);
-        }
         (void)table->AddSecondaryIndex(info.name, info.columns,
                                        info.unique);
       }

@@ -29,7 +29,7 @@ struct UndoEntry {
     kCreateSequence,  // undo: drop the sequence
     kDropSequence,    // undo: re-create with `sequence_value`
     kSequenceAdvance, // undo: restore `sequence_value`
-    kCreateIndex,     // undo: drop the constraint
+    kCreateIndex,     // undo: drop the index
     kDropIndex,       // saved_indexes holds the dropped index's metadata
     kCreateView,      // undo: drop the view
     kDropView,        // undo: re-register `saved_view`
@@ -52,12 +52,10 @@ struct UndoEntry {
   Row new_row;
   std::vector<Row> bulk_rows;
   int64_t sequence_value = 0;
-  // For kDropTable: the saved schema + data + constraints.
+  // For kDropTable: the saved schema + data + indexes.
   TableSchema saved_schema;
   std::vector<Row> saved_rows;
-  std::vector<std::pair<std::string, std::vector<std::string>>>
-      saved_constraints;  // name → column names
-  std::vector<IndexInfo> saved_indexes;  // for kDropTable
+  std::vector<IndexInfo> saved_indexes;  // kDropTable, kDropIndex
   std::string index_table;           // for kCreateIndex
   std::unique_ptr<SelectStatement> saved_view;  // for kDropView
 };

@@ -18,6 +18,7 @@
 #include "sql/database.h"
 #include "sql/introspect.h"
 #include "sql/table.h"
+#include "sql/transaction.h"
 
 namespace sqlflow::sql {
 namespace {
@@ -270,6 +271,75 @@ TEST_F(MvccTest, AutocommitStatementsConflictAndRecoverLikeTransactions) {
   auto dup = conn2_->Execute("INSERT INTO accounts VALUES (3, 'x', 1)");
   ASSERT_FALSE(dup.ok());
   EXPECT_FALSE(dup.status().IsTransient()) << dup.status().ToString();
+}
+
+// --- unique-key collisions under MVCC -----------------------------------------
+// A duplicate key is classified by the row holding it: pending under
+// another transaction ⇒ transient kDeadlock, committed after the
+// writer's snapshot ⇒ transient kUnavailable, otherwise a permanent
+// ConstraintError.
+
+TEST_F(MvccTest, InsertOntoKeyPendingUnderAnotherInsertIsTransient) {
+  ASSERT_TRUE(conn1_->Begin().ok());
+  ASSERT_TRUE(
+      conn1_->Execute("INSERT INTO accounts VALUES (4, 'dan', 0)").ok());
+  auto blocked = conn2_->Execute("INSERT INTO accounts VALUES (4, 'x', 1)");
+  ASSERT_FALSE(blocked.ok());
+  EXPECT_EQ(blocked.status().code(), StatusCode::kDeadlock)
+      << blocked.status().ToString();
+  EXPECT_NE(blocked.status().ToString().find("contended by in-flight"),
+            std::string::npos)
+      << blocked.status().ToString();
+  ASSERT_TRUE(conn1_->Rollback().ok());
+  // The key was never committed: the retried insert now succeeds.
+  EXPECT_TRUE(
+      conn2_->Execute("INSERT INTO accounts VALUES (4, 'x', 1)").ok());
+}
+
+TEST_F(MvccTest, InsertOntoKeyCommittedAfterSnapshotIsTransient) {
+  ASSERT_TRUE(conn2_->Begin().ok());
+  ASSERT_TRUE(
+      conn1_->Execute("INSERT INTO accounts VALUES (4, 'dan', 0)").ok());
+  auto lost = conn2_->Execute("INSERT INTO accounts VALUES (4, 'x', 1)");
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.status().code(), StatusCode::kUnavailable)
+      << lost.status().ToString();
+  EXPECT_TRUE(lost.status().IsTransient());
+  ASSERT_TRUE(conn2_->Rollback().ok());
+
+  // From a fresh snapshot the committed key is a plain duplicate.
+  auto dup = conn2_->Execute("INSERT INTO accounts VALUES (4, 'x', 1)");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().code(), StatusCode::kConstraintError)
+      << dup.status().ToString();
+  EXPECT_FALSE(dup.status().IsTransient());
+}
+
+TEST_F(MvccTest, UpdateOntoKeyPendingUnderAnotherInsertIsTransient) {
+  ASSERT_TRUE(conn1_->Begin().ok());
+  ASSERT_TRUE(
+      conn1_->Execute("INSERT INTO accounts VALUES (4, 'dan', 0)").ok());
+  // A SQL UPDATE is refused earlier, by the whole-statement gate on
+  // another transaction's pending rows; drive Table::Update directly so
+  // the re-key reaches the unique-key classification.
+  // The writer's id is one no real transaction holds; its snapshot is
+  // later than every committed row, so only the pending key can refuse.
+  MvccTxn writer;
+  writer.id = uint64_t{1} << 40;
+  writer.begin_ts = kPendingTs - 1;
+  UndoLog undo;
+  undo.txn = &writer;
+  std::string before = Snapshot(*conn1_);
+  ASSERT_EQ(table()->rows()[0][0], Value::Integer(1));
+  Status st = table()->Update(
+      0, {Value::Integer(4), Value::String("alice"), Value::Integer(100)},
+      &undo);
+  EXPECT_EQ(st.code(), StatusCode::kDeadlock) << st.ToString();
+  EXPECT_NE(st.ToString().find("contended by in-flight"), std::string::npos)
+      << st.ToString();
+  EXPECT_TRUE(undo.empty());
+  EXPECT_EQ(Snapshot(*conn1_), before);
+  ASSERT_TRUE(conn1_->Rollback().ok());
 }
 
 }  // namespace

@@ -56,32 +56,31 @@ std::string RowToString(const sql::Row& row) {
   return out + ")";
 }
 
-/// Canonical byte image of a table: rows in heap order, uniqueness key
-/// sets and hash-index buckets in sorted order (their unordered_map
-/// bucket layout may legitimately differ after a rollback; their
-/// *content* may not), ordered-index postings in index order.
+/// Sorted key rows of each unique index — the uniqueness state a
+/// rollback or compensation must restore.
+std::string UniqueKeys(const sql::Table& table) {
+  std::string out;
+  for (const sql::SecondaryIndex& index : table.secondary_indexes()) {
+    if (!index.unique) continue;
+    out += "  unique " + index.name + ":";
+    for (const auto& [key, slots] : index.ordered) {
+      out += " " + RowToString(key);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+/// Canonical byte image of a table: rows in heap order, unique-index
+/// keys, then every index's postings in index order.
 std::string TableSnapshot(const sql::Table& table) {
   std::string out = "table " + table.schema().table_name() + "\n";
   for (const sql::Row& row : table.rows()) {
     out += "  row " + RowToString(row) + "\n";
   }
-  for (const sql::UniqueConstraint& uc : table.unique_constraints()) {
-    std::vector<std::string> keys(uc.keys.begin(), uc.keys.end());
-    std::sort(keys.begin(), keys.end());
-    out += "  unique " + uc.name + ":";
-    for (const std::string& key : keys) out += " [" + key + "]";
-    out += "\n";
-  }
+  out += UniqueKeys(table);
   for (const sql::SecondaryIndex& index : table.secondary_indexes()) {
     out += "  index " + index.name + "\n";
-    std::vector<std::string> buckets;
-    for (const auto& [key, slots] : index.buckets) {
-      std::string line = "    bucket [" + key + "] ->";
-      for (size_t slot : slots) line += ' ' + std::to_string(slot);
-      buckets.push_back(std::move(line));
-    }
-    std::sort(buckets.begin(), buckets.end());
-    for (const std::string& line : buckets) out += line + "\n";
     for (const auto& [key, slots] : index.ordered) {
       out += "    ordered " + RowToString(key) + " ->";
       for (size_t slot : slots) out += ' ' + std::to_string(slot);
@@ -108,7 +107,7 @@ std::string DatabaseSnapshot(sql::Database& db) {
   return out;
 }
 
-/// Logical image: rows sorted per table, unique key sets, sequence
+/// Logical image: rows sorted per table, unique-index keys, sequence
 /// cursors — no heap positions or index postings. Inverse-SQL
 /// compensation replays ordinary DML, so a compensating re-INSERT lands
 /// at a fresh heap slot; it restores *logical* state, unlike the
@@ -127,13 +126,7 @@ std::string LogicalSnapshot(sql::Database& db) {
     }
     std::sort(rows.begin(), rows.end());
     for (const std::string& row : rows) out += row;
-    for (const sql::UniqueConstraint& uc : table.unique_constraints()) {
-      std::vector<std::string> keys(uc.keys.begin(), uc.keys.end());
-      std::sort(keys.begin(), keys.end());
-      out += "  unique " + uc.name + ":";
-      for (const std::string& key : keys) out += " [" + key + "]";
-      out += "\n";
-    }
+    out += UniqueKeys(table);
   }
   std::vector<std::string> sequences = db.catalog().SequenceNames();
   std::sort(sequences.begin(), sequences.end());

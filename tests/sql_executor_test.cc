@@ -317,8 +317,18 @@ TEST_F(ExecutorTest, CreateUniqueIndexEnforces) {
 
 TEST_F(ExecutorTest, CreateUniqueIndexRejectsExistingDuplicates) {
   ASSERT_TRUE(db_.Execute("INSERT INTO Items VALUES (60, 'bolt')").ok());
-  EXPECT_FALSE(
-      db_.Execute("CREATE UNIQUE INDEX uq2 ON Items (Name)").ok());
+  auto refused = db_.Execute("CREATE UNIQUE INDEX uq2 ON Items (Name)");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kConstraintError);
+  EXPECT_NE(refused.status().ToString().find(
+                "existing data violates unique constraint 'uq2'"),
+            std::string::npos)
+      << refused.status().ToString();
+  // Nothing of the refused index is left behind.
+  EXPECT_EQ(db_.catalog().FindTable("Items")->FindSecondaryIndex("uq2"),
+            nullptr);
+  EXPECT_EQ(db_.catalog().FindIndex("uq2"), nullptr);
+  EXPECT_TRUE(db_.Execute("INSERT INTO Items VALUES (61, 'bolt')").ok());
 }
 
 TEST_F(ExecutorTest, NullSemanticsInWhere) {
@@ -468,6 +478,12 @@ struct LikeCase {
   const char* pattern;
   bool expected;
 };
+
+// Names each case by its strings, so the discovered test names stay the same
+// from build to build (the default prints the raw bytes of the two pointers).
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "'";
+}
 
 class LikeMatchTest : public ::testing::TestWithParam<LikeCase> {};
 

@@ -1,12 +1,14 @@
 // Coverage for range-sargable ordered indexes: boundary semantics
 // (BETWEEN inclusivity, NULL/3VL, cross-type probes, LIKE wildcards),
 // ORDER BY satisfaction through index order, the row-count cost model,
-// plan-cache revalidation across CREATE/DROP INDEX, and a property
-// battery asserting the hash + ordered index structures stay exactly
-// consistent with a full scan under random DML and rollbacks.
+// plan-cache revalidation across CREATE/DROP INDEX, unique keys decided
+// by SQL equality, and a property battery asserting every index's
+// ordered map stays exactly consistent with a full scan under random DML
+// and rollbacks.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
@@ -144,6 +146,26 @@ TEST_F(RangeTest, CrossTypeProbesMatchScanSemantics) {
     ExpectDifferentialMatch(db_,
                             std::string("SELECT * FROM emp WHERE ") + where);
   }
+}
+
+TEST_F(RangeTest, PointProbesReachEveryKeyTheyEqual) {
+  // Past 2^53 distinct INTEGER keys can equal one DOUBLE probe (the
+  // comparison goes through double); the probe must return all of them.
+  ASSERT_TRUE(db_.Execute("INSERT INTO emp VALUES (9007199254740992, 4, "
+                          "'big', 1.0), (9007199254740993, 4, 'bog', 2.0)")
+                  .ok());
+  for (const char* where : {
+           "id = 9007199254740992.0", "id = '9007199254740993'",
+           "id IN (9007199254740992.0, 3)", "id = 9007199254740993",
+           "id = '2'", "id IN ('2', 2.0, 7)", "name = '2'",
+           "salary = 90", "salary = '90.0'", "salary = 'nan'",
+       }) {
+    ExpectDifferentialMatch(db_,
+                            std::string("SELECT * FROM emp WHERE ") + where);
+  }
+  auto both = db_.Execute("SELECT name FROM emp WHERE id = 9007199254740992.0");
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both->row_count(), 2u);
 }
 
 TEST_F(RangeTest, NanProbesAndStoredNansMatchScanSemantics) {
@@ -408,7 +430,7 @@ TEST_F(RangeTest, CostModelPrefersSelectiveIndexOverFirstMatch) {
     CREATE INDEX idx_k ON t (k);
   )sql")
                   .ok());
-  // 200 rows: grp has 2 distinct values (100 rows per bucket), k is
+  // 200 rows: grp has 2 distinct values (100 rows per key), k is
   // distinct per row.
   for (int i = 0; i < 200; ++i) {
     auto rs = db.Execute("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
@@ -550,45 +572,120 @@ TEST_F(RangeTest, RollbackRemovesIndexCreatedInTransaction) {
   EXPECT_EQ(db_.catalog().FindIndex("idx_tmp"), nullptr);
 }
 
+// --- unique keys --------------------------------------------------------------
+
+// Inserts one row of bound values into `table` and returns the outcome.
+Status InsertValues(Database& db, const std::string& table,
+                    std::vector<Value> values) {
+  Params params;
+  std::string sql = "INSERT INTO " + table + " VALUES (";
+  for (size_t i = 0; i < values.size(); ++i) {
+    sql += i == 0 ? "?" : ", ?";
+    params.Add(std::move(values[i]));
+  }
+  return db.Execute(sql + ")", params).status();
+}
+
+TEST(UniqueKeyTest, DoubleKeysCollideOnlyWhenEqual) {
+  Database db("uk");
+  ASSERT_TRUE(db.Execute("CREATE TABLE d (k DOUBLE PRIMARY KEY)").ok());
+  // Distinct beyond the sixth decimal: still distinct keys.
+  ASSERT_TRUE(InsertValues(db, "d", {Value::Double(1e-7)}).ok());
+  EXPECT_TRUE(InsertValues(db, "d", {Value::Double(2e-7)}).ok());
+  ASSERT_TRUE(InsertValues(db, "d", {Value::Double(1.0000001)}).ok());
+  EXPECT_TRUE(InsertValues(db, "d", {Value::Double(1.0000002)}).ok());
+  EXPECT_EQ(InsertValues(db, "d", {Value::Double(2e-7)}).code(),
+            StatusCode::kConstraintError);
+  auto n = db.Execute("SELECT COUNT(*) FROM d");
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n->rows()[0][0].integer(), 4);
+}
+
+TEST(UniqueKeyTest, MultiColumnStringKeysDoNotAlias) {
+  Database db("uk");
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE p (a VARCHAR(10), b VARCHAR(10));
+    CREATE UNIQUE INDEX ux_ab ON p (a, b);
+  )sql")
+                  .ok());
+  // Column text that contains a separator byte is still its own key.
+  ASSERT_TRUE(InsertValues(db, "p", {Value::String("a"),
+                                     Value::String("b\x1fSc")})
+                  .ok());
+  EXPECT_TRUE(InsertValues(db, "p", {Value::String("a\x1fSb"),
+                                     Value::String("c")})
+                  .ok());
+  EXPECT_EQ(InsertValues(db, "p", {Value::String("a"),
+                                   Value::String("b\x1fSc")})
+                .code(),
+            StatusCode::kConstraintError);
+}
+
+TEST(UniqueKeyTest, NegativeZeroDuplicatesZero) {
+  Database db("uk");
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE z (id INTEGER PRIMARY KEY, d DOUBLE);
+    CREATE UNIQUE INDEX ux_d ON z (d);
+  )sql")
+                  .ok());
+  ASSERT_TRUE(
+      InsertValues(db, "z", {Value::Integer(1), Value::Double(0.0)}).ok());
+  // -0.0 = 0 under SQL equality, so it is the same key.
+  EXPECT_EQ(
+      InsertValues(db, "z", {Value::Integer(2), Value::Double(-0.0)}).code(),
+      StatusCode::kConstraintError);
+  ExpectDifferentialMatch(db, "SELECT * FROM z WHERE d = 0");
+  auto hits = db.Execute("SELECT id FROM z WHERE d = 0");
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(hits->row_count(), 1u);
+  // Re-keying another row onto -0.0 is refused the same way.
+  ASSERT_TRUE(
+      InsertValues(db, "z", {Value::Integer(3), Value::Double(1.0)}).ok());
+  Params params;
+  params.Add(Value::Double(-0.0));
+  EXPECT_EQ(db.Execute("UPDATE z SET d = ? WHERE id = 3", params)
+                .status()
+                .code(),
+            StatusCode::kConstraintError);
+}
+
+TEST(UniqueKeyTest, SecondNullOrNanIsStillADuplicate) {
+  Database db("uk");
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE n (id INTEGER PRIMARY KEY, d DOUBLE);
+    CREATE UNIQUE INDEX ux_d ON n (d);
+  )sql")
+                  .ok());
+  ASSERT_TRUE(
+      InsertValues(db, "n", {Value::Integer(1), Value::Null()}).ok());
+  EXPECT_EQ(InsertValues(db, "n", {Value::Integer(2), Value::Null()}).code(),
+            StatusCode::kConstraintError);
+  ASSERT_TRUE(
+      InsertValues(db, "n", {Value::Integer(3), Value::Double(NAN)}).ok());
+  EXPECT_EQ(
+      InsertValues(db, "n", {Value::Integer(4), Value::Double(NAN)}).code(),
+      StatusCode::kConstraintError);
+}
+
 // --- index-consistency property battery -------------------------------------
 
-// Serializes a value with its exact type so ordered-key comparisons can
-// distinguish order-equal values when needed.
+// Checks every index's ordered map against the heap: keys ascend
+// strictly, each slot's projection is order-equal to its key row,
+// postings ascend and cover each row exactly once, and a unique index
+// never holds two slots under one key.
 void VerifyIndexesAgainstScan(const Table& table) {
   const std::vector<Row>& rows = table.rows();
   for (const SecondaryIndex& index : table.secondary_indexes()) {
-    // (a) Hash buckets: recomputed key matches the bucket key, slot
-    // lists ascend, and the postings cover each row exactly once.
-    std::vector<int> seen_hash(rows.size(), 0);
-    for (const auto& [key, slots] : index.buckets) {
-      ASSERT_FALSE(slots.empty()) << index.name << ": empty bucket kept";
-      for (size_t i = 0; i < slots.size(); ++i) {
-        ASSERT_LT(slots[i], rows.size()) << index.name;
-        if (i > 0) {
-          EXPECT_LT(slots[i - 1], slots[i])
-              << index.name << ": bucket slots not ascending";
-        }
-        std::string recomputed;
-        for (size_t col : index.column_indexes) {
-          AppendLookupKeyPart(rows[slots[i]][col], &recomputed);
-        }
-        EXPECT_EQ(recomputed, key)
-            << index.name << ": slot " << slots[i] << " in wrong bucket";
-        seen_hash[slots[i]]++;
-      }
-    }
-    for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(seen_hash[i], 1)
-          << index.name << ": row " << i << " posted " << seen_hash[i]
-          << " times in hash buckets";
-    }
-    // (b) Ordered entries: every slot's projection is order-equal to its
-    // key row, keys ascend strictly, and postings cover each row once.
     std::vector<int> seen_ordered(rows.size(), 0);
     const Row* prev_key = nullptr;
     for (const auto& [key, slots] : index.ordered) {
       ASSERT_FALSE(slots.empty()) << index.name << ": empty ordered entry";
       ASSERT_EQ(key.size(), index.column_indexes.size()) << index.name;
+      if (index.unique) {
+        EXPECT_EQ(slots.size(), 1u)
+            << index.name << ": unique index holds " << slots.size()
+            << " slots under one key";
+      }
       if (prev_key != nullptr) {
         bool less = false;
         for (size_t i = 0; i < key.size(); ++i) {
