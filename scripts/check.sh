@@ -27,9 +27,11 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/sqlflow_obs_tests
   ./build-asan/tests/sqlflow_integration_tests
   # The optimizer differential battery (index/hash-join/plan-cache paths
-  # exercise raw slot bookkeeping — worth the sanitized pass).
+  # exercise raw slot bookkeeping — worth the sanitized pass), plus the
+  # typed key hash table: join-key hashing, join pair order for both
+  # build sides, and group identity in both executors.
   ./build-asan/tests/sqlflow_sql_tests \
-    --gtest_filter='PlansTest.*:LookupKeyTest.*'
+    --gtest_filter='PlansTest.*:LookupKeyTest.*:JoinOrderTest.*:*GroupKey*'
   # Range/boundary semantics + the index-consistency property battery,
   # then the 600-query differential fuzzer (ordered-map slot vectors get
   # spliced on every DML — exactly the code ASan should watch).

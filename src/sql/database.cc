@@ -17,6 +17,32 @@ namespace sqlflow::sql {
 
 namespace {
 
+/// Metric handles every statement touches, resolved once: the registry
+/// keeps each counter and histogram alive for the whole process, so the
+/// per-statement path skips the registry mutex and the name lookup.
+struct StatementMetrics {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Histogram& exec = registry.GetHistogram("sql.exec");
+  obs::Counter& statements = registry.GetCounter("sql.statements");
+  obs::Counter& errors = registry.GetCounter("sql.errors");
+  obs::Counter& plan_scan = registry.GetCounter("sql.plan.scan");
+  obs::Counter& plan_index_lookup =
+      registry.GetCounter("sql.plan.index_lookup");
+  obs::Counter& plan_hash_join = registry.GetCounter("sql.plan.hash_join");
+  obs::Counter& plan_range_scan = registry.GetCounter("sql.plan.range_scan");
+  obs::Counter& plan_pushdown = registry.GetCounter("sql.plan.pushdown");
+  obs::Counter& plan_batch = registry.GetCounter("sql.plan.batch");
+  obs::Counter& plan_cache_hit = registry.GetCounter("sql.plan_cache.hit");
+  obs::Counter& plan_cache_miss = registry.GetCounter("sql.plan_cache.miss");
+  obs::Counter& txn_commit = registry.GetCounter("sql.txn.commit");
+  obs::Counter& txn_abort = registry.GetCounter("sql.txn.abort");
+};
+
+StatementMetrics& Metrics() {
+  static StatementMetrics metrics;
+  return metrics;
+}
+
 /// True if evaluating `e` reads database state that an earlier partial
 /// execution could have changed — the property that makes a blind
 /// replay double-apply. Parameters and literals are replay-exact;
@@ -411,10 +437,11 @@ void Database::CommitMvccTxn() {
       dropped += table->GcVersions(horizon);
     }
   }
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("sql.txn.commit").Increment();
+  Metrics().txn_commit.Increment();
   if (dropped > 0) {
-    metrics.GetCounter("sql.mvcc.gc_versions").Increment(dropped);
+    obs::MetricsRegistry::Global()
+        .GetCounter("sql.mvcc.gc_versions")
+        .Increment(dropped);
   }
   txn_active_ = false;
   txn_implicit_ = false;
@@ -428,7 +455,7 @@ void Database::AbortMvccTxn() {
     }
   }
   shared_->mvcc.End(txn_.id);
-  obs::MetricsRegistry::Global().GetCounter("sql.txn.abort").Increment();
+  Metrics().txn_abort.Increment();
   txn_active_ = false;
   txn_implicit_ = false;
   undo_log_.txn = nullptr;
@@ -563,12 +590,11 @@ Result<ResultSet> Database::Execute(std::string_view sql,
                                ParseStatement(sql));
       return ExecuteStatement(*parsed, params);
     }
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
     std::string key(sql);
     auto it = plan_cache_.find(key);
     if (it == plan_cache_.end()) {
       plan_cache_stats_.misses++;
-      metrics.GetCounter("sql.plan_cache.miss").Increment();
+      Metrics().plan_cache_miss.Increment();
       SQLFLOW_ASSIGN_OR_RETURN(std::unique_ptr<Statement> parsed,
                                ParseStatement(sql));
       bool cacheable = parsed->kind == StatementKind::kSelect ||
@@ -589,7 +615,7 @@ Result<ResultSet> Database::Execute(std::string_view sql,
     } else {
       plan_cache_stats_.hits++;
       it->second.hits++;
-      metrics.GetCounter("sql.plan_cache.hit").Increment();
+      Metrics().plan_cache_hit.Increment();
       it->second.last_used_tick = ++plan_cache_tick_;
     }
     if (it->second.plan == nullptr ||
@@ -667,25 +693,25 @@ void Database::InvalidatePlans(const std::string& table_name) {
 
 void Database::NotePlanChoice(PlanChoice choice) {
   plan_mask_ |= static_cast<unsigned>(choice);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  StatementMetrics& metrics = Metrics();
   switch (choice) {
     case PlanChoice::kScan:
-      metrics.GetCounter("sql.plan.scan").Increment();
+      metrics.plan_scan.Increment();
       break;
     case PlanChoice::kIndexLookup:
-      metrics.GetCounter("sql.plan.index_lookup").Increment();
+      metrics.plan_index_lookup.Increment();
       break;
     case PlanChoice::kHashJoin:
-      metrics.GetCounter("sql.plan.hash_join").Increment();
+      metrics.plan_hash_join.Increment();
       break;
     case PlanChoice::kRangeScan:
-      metrics.GetCounter("sql.plan.range_scan").Increment();
+      metrics.plan_range_scan.Increment();
       break;
     case PlanChoice::kPushdown:
-      metrics.GetCounter("sql.plan.pushdown").Increment();
+      metrics.plan_pushdown.Increment();
       break;
     case PlanChoice::kBatch:
-      metrics.GetCounter("sql.plan.batch").Increment();
+      metrics.plan_batch.Increment();
       break;
   }
 }
@@ -726,10 +752,9 @@ Result<ResultSet> Database::ExecuteStatementLatched(
   unsigned saved_mask = plan_mask_;
   plan_mask_ = 0;
   Result<ResultSet> result = RunWithRecovery(stmt, params, plan);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.GetHistogram("sql.exec")
-      .Record(static_cast<uint64_t>(span.ElapsedNanos()));
-  metrics.GetCounter("sql.statements").Increment();
+  StatementMetrics& metrics = Metrics();
+  metrics.exec.Record(static_cast<uint64_t>(span.ElapsedNanos()));
+  metrics.statements.Increment();
   if (plan_mask_ != 0) {
     std::string attr;
     auto append = [&](PlanChoice bit, const char* label) {
@@ -753,7 +778,7 @@ Result<ResultSet> Database::ExecuteStatementLatched(
                        : result->affected_rows();
     span.Set("rows", std::to_string(rows));
   } else {
-    metrics.GetCounter("sql.errors").Increment();
+    metrics.errors.Increment();
     span.Set("error", result.status().ToString());
   }
   return result;

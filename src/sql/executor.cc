@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
@@ -11,6 +10,7 @@
 #include "obs/trace.h"
 #include "sql/database.h"
 #include "sql/explain.h"
+#include "sql/key_hash.h"
 #include "sql/planner.h"
 #include "sql/profile.h"
 #include "sql/table.h"
@@ -74,17 +74,83 @@ struct FromScope {
 
 }  // namespace
 
-// Shared with the batch pipeline (vec_exec.cc); see executor.h.
-std::string ExecRowKey(const Row& row) {
-  std::string key;
-  for (const Value& v : row) {
-    key.push_back(static_cast<char>('0' + static_cast<int>(v.type())));
-    key += v.AsString();
-    key.push_back('\x1f');
-  }
-  return key;
+AggKind AggKindOf(const std::string& fn) {
+  if (fn == "COUNT") return AggKind::kCount;
+  if (fn == "SUM") return AggKind::kSum;
+  if (fn == "AVG") return AggKind::kAvg;
+  if (fn == "MIN") return AggKind::kMin;
+  if (fn == "MAX") return AggKind::kMax;
+  return AggKind::kOther;
 }
 
+void FeedValue(AggState* st, AggKind kind, bool distinct, const Value& v) {
+  if (v.is_null()) return;
+  if (distinct && !st->distinct_seen.Insert(v)) return;
+  ++st->count;
+  switch (kind) {
+    case AggKind::kMin:
+    case AggKind::kMax: {
+      bool better = kind == AggKind::kMin ? v.Compare(st->acc) < 0
+                                          : v.Compare(st->acc) > 0;
+      if (!st->have || better) {
+        st->acc = v;
+        st->have = true;
+      }
+      break;
+    }
+    case AggKind::kSum:
+    case AggKind::kAvg: {
+      if (v.type() == ValueType::kInteger) {
+        st->sum_i += v.integer();
+        st->sum_d += static_cast<double>(v.integer());
+      } else {
+        Result<double> d = v.AsDouble();
+        if (!d.ok()) {
+          st->failed = true;
+          st->error = d.status();
+          return;
+        }
+        st->sum_d += *d;
+        st->all_int = false;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+bool AggregateTakesNoValues(const Expr& agg) {
+  if (agg.children.empty()) return true;
+  return agg.function_name == "COUNT" &&
+         agg.children[0]->kind == ExprKind::kStar;
+}
+
+Result<Value> FinishAggregate(const Expr& agg, const AggState& st,
+                              int64_t group_size) {
+  if (agg.children.empty()) {
+    return Status::InvalidArgument(agg.function_name +
+                                   " requires an argument");
+  }
+  if (AggregateTakesNoValues(agg)) return Value::Integer(group_size);
+  if (st.failed) return st.error;
+  const AggKind kind = AggKindOf(agg.function_name);
+  if (kind == AggKind::kOther) {
+    return Status::Internal("bad aggregate " + agg.function_name);
+  }
+  if (kind == AggKind::kCount) return Value::Integer(st.count);
+  if (st.count == 0) return Value::Null();  // SQL: aggregates over ∅ are NULL
+  if (kind == AggKind::kMin || kind == AggKind::kMax) return st.acc;
+  if (kind == AggKind::kSum) {
+    return st.all_int ? Value::Integer(st.sum_i) : Value::Double(st.sum_d);
+  }
+  return Value::Double(st.sum_d / static_cast<double>(st.count));  // AVG
+}
+
+namespace {
+
+/// Collects pointers to aggregate function-call nodes in tree order (not
+/// descending into nested aggregates, which the dialect rejects anyway).
 void CollectAggregateNodes(const Expr& e, std::vector<const Expr*>* out) {
   if (e.kind == ExprKind::kFunctionCall &&
       IsAggregateFunctionName(e.function_name)) {
@@ -96,20 +162,11 @@ void CollectAggregateNodes(const Expr& e, std::vector<const Expr*>* out) {
   }
 }
 
+/// Output-column name for a select item without an alias.
 std::string DeriveOutputColumnName(const Expr& e, size_t ordinal) {
   if (e.kind == ExprKind::kColumnRef) return e.column_name;
   if (e.kind == ExprKind::kFunctionCall) return e.function_name;
   return "col" + std::to_string(ordinal + 1);
-}
-
-namespace {
-
-// Local aliases: the names below predate the helpers moving to
-// executor.h for sharing with vec_exec.cc.
-std::string RowKey(const Row& row) { return ExecRowKey(row); }
-
-void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
-  CollectAggregateNodes(e, out);
 }
 
 /// Computes one aggregate over the rows of a group.
@@ -117,139 +174,22 @@ Result<Value> ComputeAggregate(const Expr& agg,
                                const std::vector<const Row*>& group,
                                const std::vector<ScopeColumn>& columns,
                                const Params& params, Database* db) {
-  const std::string& fn = agg.function_name;
-  bool star = !agg.children.empty() &&
-              agg.children[0]->kind == ExprKind::kStar;
-  if (fn == "COUNT" && star) {
-    return Value::Integer(static_cast<int64_t>(group.size()));
-  }
-  if (agg.children.empty()) {
-    return Status::InvalidArgument(fn + " requires an argument");
-  }
-
-  ScopeBinding binding(&columns, nullptr);
-  EvalContext ctx;
-  ctx.binding = &binding;
-  ctx.params = &params;
-  ctx.database = db;
-
-  int64_t count = 0;
-  std::set<std::string> distinct_seen;
-  bool have = false;
-  Value acc;           // MIN/MAX accumulator
-  int64_t sum_i = 0;   // integer SUM
-  double sum_d = 0.0;  // double SUM
-  bool all_int = true;
-
-  for (const Row* row : group) {
-    binding.set_row(row);
-    SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*agg.children[0], ctx));
-    if (v.is_null()) continue;
-    if (agg.distinct_arg) {
-      std::string key = RowKey({v});
-      if (!distinct_seen.insert(key).second) continue;
-    }
-    ++count;
-    if (fn == "MIN" || fn == "MAX") {
-      if (!have || (fn == "MIN" ? v.Compare(acc) < 0 : v.Compare(acc) > 0)) {
-        acc = v;
-        have = true;
-      }
-    } else if (fn == "SUM" || fn == "AVG") {
-      if (v.type() == ValueType::kInteger) {
-        sum_i += v.integer();
-        sum_d += static_cast<double>(v.integer());
-      } else {
-        SQLFLOW_ASSIGN_OR_RETURN(double d, v.AsDouble());
-        sum_d += d;
-        all_int = false;
-      }
+  AggState st;
+  if (!AggregateTakesNoValues(agg)) {
+    ScopeBinding binding(&columns, nullptr);
+    EvalContext ctx;
+    ctx.binding = &binding;
+    ctx.params = &params;
+    ctx.database = db;
+    const AggKind kind = AggKindOf(agg.function_name);
+    for (const Row* row : group) {
+      binding.set_row(row);
+      SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*agg.children[0], ctx));
+      FeedValue(&st, kind, agg.distinct_arg, v);
+      if (st.failed) break;
     }
   }
-
-  if (fn == "COUNT") return Value::Integer(count);
-  if (count == 0) return Value::Null();  // SQL: aggregates over ∅ are NULL
-  if (fn == "MIN" || fn == "MAX") return acc;
-  if (fn == "SUM") {
-    return all_int ? Value::Integer(sum_i) : Value::Double(sum_d);
-  }
-  if (fn == "AVG") {
-    return Value::Double(sum_d / static_cast<double>(count));
-  }
-  return Status::Internal("bad aggregate " + fn);
-}
-
-// Output-column name for a select item without an alias.
-std::string DeriveColumnName(const Expr& e, size_t ordinal) {
-  return DeriveOutputColumnName(e, ordinal);
-}
-
-// ---------------------------------------------------------------------------
-// Hash-join support
-// ---------------------------------------------------------------------------
-// ORDER BY elision (OrderBySargColumns) and scope-column resolution
-// (FindScopeColumnIndex) moved to sql/explain.{h,cc}, shared with the
-// EXPLAIN renderer.
-
-}  // namespace
-
-// Value-class bits for the comparability prescan. NULL contributes
-// nothing (NULL keys never match, never error). Shared with the batch
-// pipeline (vec_exec.cc); see executor.h.
-namespace {
-constexpr unsigned kClassBool = 1u;
-constexpr unsigned kClassNumeric = 2u;
-constexpr unsigned kClassNumString = 4u;
-constexpr unsigned kClassRawString = 8u;
-}  // namespace
-
-unsigned JoinValueClassBit(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      return 0;
-    case ValueType::kBoolean:
-      return kClassBool;
-    case ValueType::kInteger:
-    case ValueType::kDouble:
-      return kClassNumeric;
-    case ValueType::kString:
-      return v.AsDouble().ok() ? kClassNumString : kClassRawString;
-  }
-  return kClassRawString;
-}
-
-// True when some left/right value pair could raise a TypeError under the
-// executor's comparison rules (bool vs anything else, number vs
-// non-numeric string). The nested loop evaluates the ON clause for every
-// pair and surfaces such errors; a hash join would silently skip them,
-// so it must decline.
-bool JoinClassesMayError(unsigned a, unsigned b) {
-  if ((a & kClassBool) != 0 && (b & ~kClassBool) != 0) return true;
-  if ((b & kClassBool) != 0 && (a & ~kClassBool) != 0) return true;
-  if ((a & kClassNumeric) != 0 && (b & kClassRawString) != 0) return true;
-  if ((b & kClassNumeric) != 0 && (a & kClassRawString) != 0) return true;
-  return false;
-}
-
-namespace {
-
-unsigned ValueClassBit(const Value& v) { return JoinValueClassBit(v); }
-
-bool ClassesMayError(unsigned a, unsigned b) {
-  return JoinClassesMayError(a, b);
-}
-
-bool JoinKeysComparable(
-    const std::vector<Row>& left_rows, const std::vector<Row>& right_rows,
-    const std::vector<std::pair<size_t, size_t>>& key_pairs) {
-  for (const auto& [lo, ro] : key_pairs) {
-    unsigned lmask = 0;
-    unsigned rmask = 0;
-    for (const Row& row : left_rows) lmask |= ValueClassBit(row[lo]);
-    for (const Row& row : right_rows) rmask |= ValueClassBit(row[ro]);
-    if (ClassesMayError(lmask, rmask)) return false;
-  }
-  return true;
+  return FinishAggregate(agg, st, static_cast<int64_t>(group.size()));
 }
 
 }  // namespace
@@ -276,9 +216,15 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStatement& sel,
   }
   // Column names come from the first branch, SQL-style.
   ResultSet combined(left.column_names());
-  std::set<std::string> seen;
+  KeyHashTable seen;
   auto add = [&](const Row& row) {
-    if (!sel.union_all && !seen.insert(RowKey(row)).second) return;
+    if (!sel.union_all) {
+      const uint32_t id = static_cast<uint32_t>(combined.row_count());
+      auto same = [&](uint32_t kept) {
+        return GroupRowEqual(combined.rows()[kept], row);
+      };
+      if (!seen.FindOrAdd(GroupRowHash(row), id, same).second) return;
+    }
     combined.AddRow(row);
   };
   for (const Row& row : left.rows()) add(row);
@@ -291,6 +237,39 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStatement& sel,
     op.loops = 1;
   }
   return combined;
+}
+
+Status Executor::ExecuteSubqueryRef(const TableRef& ref,
+                                    const std::string& qual,
+                                    const Params& params,
+                                    std::vector<ScopeColumnRef>* columns,
+                                    std::vector<Row>* rows) {
+  const SelectStatement* select = ref.derived.get();
+  if (select == nullptr) select = db_->catalog().FindView(ref.table_name);
+  if (select == nullptr) {
+    return Status::NotFound("no table or view '" + ref.table_name + "'");
+  }
+  int* depth = db_->MutableViewDepth();
+  if (ref.derived == nullptr && ++*depth > kMaxViewDepth) {
+    --*depth;
+    return Status::ExecutionError(
+        "view expansion too deep (cyclic view definition?)");
+  }
+  Result<ResultSet> result = ExecuteSelect(*select, params);
+  if (ref.derived == nullptr) --*depth;
+  if (!result.ok()) return result.status();
+  for (const std::string& name : result->column_names()) {
+    columns->push_back({qual, name});
+  }
+  *rows = std::move(result->mutable_rows());
+  if (ExecProfile* prof = db_->exec_profile()) {
+    ExecProfileOp& op = ref.derived != nullptr
+                            ? prof->Add("DERIVED", qual)
+                            : prof->Add("VIEW", ref.table_name);
+    op.rows_in = op.rows_out = rows->size();
+    op.loops = 1;
+  }
+  return Status::OK();
 }
 
 std::optional<Executor::ResolvedAccess> Executor::ResolveCandidates(
@@ -563,19 +542,13 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
         ref.alias.empty() ? ref.table_name : ref.alias;
     std::vector<ScopeColumn> right_cols;
     std::vector<Row> right_rows;
-    if (ref.derived != nullptr) {
-      SQLFLOW_ASSIGN_OR_RETURN(ResultSet derived,
-                               ExecuteSelect(*ref.derived, params));
-      for (const std::string& name : derived.column_names()) {
-        right_cols.push_back({qual, name});
-      }
-      right_rows = std::move(derived.mutable_rows());
-      if (prof != nullptr) {
-        ExecProfileOp& op = prof->Add("DERIVED", qual);
-        op.rows_in = op.rows_out = right_rows.size();
-        op.loops = 1;
-      }
-    } else if (Table* table = db_->catalog().FindTable(ref.table_name)) {
+    Table* table = ref.derived == nullptr
+                       ? db_->catalog().FindTable(ref.table_name)
+                       : nullptr;
+    if (table == nullptr) {
+      SQLFLOW_RETURN_IF_ERROR(
+          ExecuteSubqueryRef(ref, qual, params, &right_cols, &right_rows));
+    } else {
       for (const ColumnDef& col : table->schema().columns()) {
         right_cols.push_back({qual, col.name});
       }
@@ -644,29 +617,6 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
           }
         }
       }
-    } else if (const SelectStatement* view =
-                   db_->catalog().FindView(ref.table_name)) {
-      int* depth = db_->MutableViewDepth();
-      if (++*depth > kMaxViewDepth) {
-        --*depth;
-        return Status::ExecutionError(
-            "view expansion too deep (cyclic view definition?)");
-      }
-      auto view_result = ExecuteSelect(*view, params);
-      --*depth;
-      if (!view_result.ok()) return view_result.status();
-      for (const std::string& name : view_result->column_names()) {
-        right_cols.push_back({qual, name});
-      }
-      right_rows = std::move(view_result->mutable_rows());
-      if (prof != nullptr) {
-        ExecProfileOp& op = prof->Add("VIEW", ref.table_name);
-        op.rows_in = op.rows_out = right_rows.size();
-        op.loops = 1;
-      }
-    } else {
-      return Status::NotFound("no table or view '" + ref.table_name +
-                              "'");
     }
     db_->MutableStats()->rows_read += right_rows.size();
     if (first_ref) {
@@ -690,6 +640,8 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
     // Extract equality conjuncts joining a left-scope column to a
     // right-side column; if any exist (and no key pairing could change
     // error behavior versus the nested loop), build/probe hash join.
+    const int64_t join_start = prof != nullptr ? obs::NowNanos() : 0;
+    const size_t join_rows_in = scope.rows.size() + right_rows.size();
     std::vector<std::pair<size_t, size_t>> key_pairs;
     bool hash_join = db_->optimizer_enabled() &&
                      ref.join_condition != nullptr &&
@@ -698,80 +650,40 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
     if (hash_join) {
       key_pairs = ExtractEquiJoinKeys(*ref.join_condition, combined_cols,
                                       left_width);
-      hash_join = !key_pairs.empty() &&
-                  JoinKeysComparable(scope.rows, right_rows, key_pairs);
+      hash_join = !key_pairs.empty();
+    }
+    std::optional<JoinCandidates> candidates;
+    if (hash_join) {
+      candidates.emplace(
+          scope.rows.size(), right_rows.size(), key_pairs.size(),
+          [&](size_t r, size_t k) -> const Value& {
+            return scope.rows[r][key_pairs[k].first];
+          },
+          [&](size_t r, size_t k) -> const Value& {
+            return right_rows[r][key_pairs[k].second];
+          });
+      hash_join = candidates->comparable();
     }
 
-    const int64_t join_start = prof != nullptr ? obs::NowNanos() : 0;
-    const size_t join_rows_in = scope.rows.size() + right_rows.size();
     if (hash_join) {
       db_->NotePlanChoice(PlanChoice::kHashJoin);
-      // Build the hash table on the smaller input (row-count cost
-      // model); rows with a NULL key part can never match and stay out
-      // of the build table entirely.
-      auto key_of = [&key_pairs](const Row& row, bool left_side,
-                                 std::string* key) -> bool {
-        for (const auto& [lo, ro] : key_pairs) {
-          const Value& v = row[left_side ? lo : ro];
-          if (v.is_null()) return false;
-          AppendLookupKeyPart(v, key);
-        }
-        return true;
-      };
-      // Candidate right slots per left row, ascending either way, so the
-      // emitted order matches the nested loop's regardless of build
-      // side.
-      std::vector<std::vector<size_t>> right_of_left(scope.rows.size());
-      const bool build_left = scope.rows.size() < right_rows.size();
-      std::unordered_map<std::string, std::vector<size_t>> buckets;
-      if (build_left) {
-        buckets.reserve(scope.rows.size());
-        for (size_t li = 0; li < scope.rows.size(); ++li) {
-          std::string key;
-          if (key_of(scope.rows[li], true, &key)) {
-            buckets[std::move(key)].push_back(li);
-          }
-        }
-        for (size_t ri = 0; ri < right_rows.size(); ++ri) {
-          std::string key;
-          if (!key_of(right_rows[ri], false, &key)) continue;
-          auto bucket = buckets.find(key);
-          if (bucket == buckets.end()) continue;
-          for (size_t li : bucket->second) {
-            right_of_left[li].push_back(ri);
-          }
-        }
-      } else {
-        buckets.reserve(right_rows.size());
-        for (size_t ri = 0; ri < right_rows.size(); ++ri) {
-          std::string key;
-          if (key_of(right_rows[ri], false, &key)) {
-            buckets[std::move(key)].push_back(ri);
-          }
-        }
-        for (size_t li = 0; li < scope.rows.size(); ++li) {
-          std::string key;
-          if (!key_of(scope.rows[li], true, &key)) continue;
-          auto bucket = buckets.find(key);
-          if (bucket != buckets.end()) right_of_left[li] = bucket->second;
-        }
-      }
       for (size_t li = 0; li < scope.rows.size(); ++li) {
         const Row& left = scope.rows[li];
         bool matched = false;
         // The full ON clause re-runs per candidate: key collisions and
         // residual conjuncts filter here.
-        for (size_t ri : right_of_left[li]) {
+        SQLFLOW_RETURN_IF_ERROR(candidates->ForEach(li, [&](size_t ri) {
           probe = left;
           probe.insert(probe.end(), right_rows[ri].begin(),
                        right_rows[ri].end());
-          SQLFLOW_ASSIGN_OR_RETURN(Value cond,
-                                   EvaluateExpr(*ref.join_condition, ctx));
-          if (IsTrue(cond)) {
+          Result<Value> cond = EvaluateExpr(*ref.join_condition, ctx);
+          if (!cond.ok()) return cond.status();
+          if (IsTrue(*cond)) {
             matched = true;
             combined_rows.push_back(probe);
           }
-        }
+          return Status::OK();
+        }));
         if (!matched && ref.join_type == JoinType::kLeftOuter) {
           Row padded = left;
           padded.resize(combined_cols.size(), Value::Null());
@@ -852,107 +764,20 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
     }
   }
 
-  // 3. Expand stars & name output columns.
-  struct OutputItem {
-    const Expr* expr = nullptr;   // null ⇒ direct scope column passthrough
-    size_t scope_index = 0;
-    std::string name;
-  };
-  std::vector<OutputItem> outputs;
-  for (const SelectItem& item : sel.items) {
-    if (item.star) {
-      for (size_t i = 0; i < scope.columns.size(); ++i) {
-        if (!item.star_qualifier.empty() &&
-            !EqualsIgnoreCase(scope.columns[i].qualifier,
-                              item.star_qualifier)) {
-          continue;
-        }
-        OutputItem out;
-        out.scope_index = i;
-        out.name = scope.columns[i].name;
-        outputs.push_back(std::move(out));
-      }
-      continue;
-    }
-    OutputItem out;
-    out.expr = item.expr.get();
-    out.name = !item.alias.empty()
-                   ? item.alias
-                   : DeriveColumnName(*item.expr, outputs.size());
-    outputs.push_back(std::move(out));
-  }
-
-  // 4. Detect grouped execution.
-  bool has_aggregates = false;
-  for (const OutputItem& out : outputs) {
-    if (out.expr != nullptr && ContainsAggregate(*out.expr)) {
-      has_aggregates = true;
-    }
-  }
-  if (sel.having != nullptr && ContainsAggregate(*sel.having)) {
-    has_aggregates = true;
-  }
-  bool grouped = !sel.group_by.empty() || has_aggregates;
-
-  std::vector<std::string> out_names;
-  out_names.reserve(outputs.size());
-  for (const OutputItem& out : outputs) out_names.push_back(out.name);
-  ResultSet result(out_names);
-
-  // Sort keys computed during projection (ORDER BY may reference either
-  // output columns or scope expressions).
-  struct SortableRow {
-    Row output;
-    std::vector<Value> sort_keys;
-  };
+  // 3–4. Output columns; grouped or plain execution.
+  SQLFLOW_ASSIGN_OR_RETURN(SelectShape shape, ShapeSelect(sel, scope.columns));
+  const bool grouped = shape.grouped;
   std::vector<SortableRow> produced;
-
-  // Maps each ORDER BY item to an output ordinal if it is a plain
-  // reference to an output column (alias/name) or an integer ordinal;
-  // otherwise -1 ⇒ evaluate in scope.
-  std::vector<int> order_output_index(sel.order_by.size(), -1);
-  for (size_t i = 0; i < sel.order_by.size(); ++i) {
-    const Expr& e = *sel.order_by[i].expr;
-    if (e.kind == ExprKind::kLiteral &&
-        e.literal.type() == ValueType::kInteger) {
-      int64_t ordinal = e.literal.integer();
-      if (ordinal < 1 || ordinal > static_cast<int64_t>(outputs.size())) {
-        return Status::InvalidArgument("ORDER BY ordinal out of range");
-      }
-      order_output_index[i] = static_cast<int>(ordinal - 1);
-      continue;
-    }
-    if (e.kind == ExprKind::kColumnRef && e.table_qualifier.empty()) {
-      for (size_t j = 0; j < outputs.size(); ++j) {
-        if (EqualsIgnoreCase(outputs[j].name, e.column_name)) {
-          order_output_index[i] = static_cast<int>(j);
-          break;
-        }
-      }
-    }
-  }
 
   const int64_t agg_start =
       (prof != nullptr && grouped) ? obs::NowNanos() : 0;
   if (grouped) {
-    // Collect aggregate nodes from every expression that needs them.
-    std::vector<const Expr*> agg_nodes;
-    for (const OutputItem& out : outputs) {
-      if (out.expr != nullptr) CollectAggregates(*out.expr, &agg_nodes);
-    }
-    if (sel.having != nullptr) CollectAggregates(*sel.having, &agg_nodes);
-    for (const OrderByItem& ob : sel.order_by) {
-      CollectAggregates(*ob.expr, &agg_nodes);
-    }
-
-    // Partition rows into groups.
-    std::map<std::string, std::vector<const Row*>> groups;
-    std::vector<std::string> group_order;  // first-seen order
+    // Partition rows into groups, in first-seen order.
+    std::vector<std::vector<const Row*>> groups;
     if (sel.group_by.empty()) {
       // Implicit single group over all rows (possibly empty).
-      groups[""] = {};
-      group_order.push_back("");
-      for (const Row& row : scope.rows) groups[""].push_back(&row);
+      groups.emplace_back();
+      for (const Row& row : scope.rows) groups[0].push_back(&row);
     } else {
       Row current;
       ScopeBinding binding(&scope.columns, &current);
@@ -960,29 +785,38 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
       ctx.binding = &binding;
       ctx.params = &params;
       ctx.database = db_;
+      KeyHashTable group_index;
+      std::vector<Row> group_keys;
+      Row key_values;
       for (const Row& row : scope.rows) {
         current = row;
-        Row key_values;
+        key_values.clear();
         for (const ExprPtr& g : sel.group_by) {
           SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*g, ctx));
           key_values.push_back(std::move(v));
         }
-        std::string key = RowKey(key_values);
-        auto [it, inserted] = groups.try_emplace(key);
-        if (inserted) group_order.push_back(key);
-        it->second.push_back(&row);
+        auto same = [&](uint32_t g) {
+          return GroupRowEqual(group_keys[g], key_values);
+        };
+        auto [g, inserted] = group_index.FindOrAdd(
+            GroupRowHash(key_values),
+            static_cast<uint32_t>(group_keys.size()), same);
+        if (inserted) {
+          group_keys.push_back(key_values);
+          groups.emplace_back();
+        }
+        groups[g].push_back(&row);
       }
     }
 
-    for (const std::string& key : group_order) {
-      const std::vector<const Row*>& group = groups[key];
+    for (const std::vector<const Row*>& group : groups) {
       // Representative row for evaluating group-by expressions in the
       // select list. Empty implicit group has no representative; column
       // references would be invalid SQL there anyway.
       Row rep = group.empty() ? Row{} : *group[0];
 
       std::map<const Expr*, Value> agg_values;
-      for (const Expr* agg : agg_nodes) {
+      for (const Expr* agg : shape.aggs) {
         SQLFLOW_ASSIGN_OR_RETURN(
             Value v,
             ComputeAggregate(*agg, group, scope.columns, params, db_));
@@ -990,47 +824,9 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
       }
 
       ScopeBinding binding(&scope.columns, &rep);
-      EvalContext ctx;
-      ctx.binding = group.empty() ? nullptr : &binding;
-      ctx.params = &params;
-      ctx.database = db_;
-      ctx.node_override =
-          [&agg_values](const Expr& e) -> std::optional<Value> {
-        auto it = agg_values.find(&e);
-        if (it == agg_values.end()) return std::nullopt;
-        return it->second;
-      };
-
-      if (sel.having != nullptr) {
-        SQLFLOW_ASSIGN_OR_RETURN(Value cond,
-                                 EvaluateExpr(*sel.having, ctx));
-        if (!IsTrue(cond)) continue;
-      }
-
-      SortableRow out_row;
-      for (const OutputItem& out : outputs) {
-        if (out.expr == nullptr) {
-          if (group.empty()) {
-            return Status::ExecutionError(
-                "cannot select columns from an empty group");
-          }
-          out_row.output.push_back(rep[out.scope_index]);
-        } else {
-          SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*out.expr, ctx));
-          out_row.output.push_back(std::move(v));
-        }
-      }
-      for (size_t i = 0; i < sel.order_by.size(); ++i) {
-        if (order_output_index[i] >= 0) {
-          out_row.sort_keys.push_back(
-              out_row.output[static_cast<size_t>(order_output_index[i])]);
-        } else {
-          SQLFLOW_ASSIGN_OR_RETURN(
-              Value v, EvaluateExpr(*sel.order_by[i].expr, ctx));
-          out_row.sort_keys.push_back(std::move(v));
-        }
-      }
-      produced.push_back(std::move(out_row));
+      SQLFLOW_RETURN_IF_ERROR(EmitGroup(
+          sel, shape, params, agg_values, group.empty() ? nullptr : &binding,
+          [&rep](size_t i) -> const Value& { return rep[i]; }, &produced));
     }
   } else {
     Row current;
@@ -1041,54 +837,133 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
     ctx.database = db_;
     for (Row& row : scope.rows) {
       current = std::move(row);
-      SortableRow out_row;
-      for (const OutputItem& out : outputs) {
-        if (out.expr == nullptr) {
-          out_row.output.push_back(current[out.scope_index]);
-        } else {
-          SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*out.expr, ctx));
-          out_row.output.push_back(std::move(v));
-        }
-      }
-      for (size_t i = 0; i < sel.order_by.size(); ++i) {
-        if (order_output_index[i] >= 0) {
-          out_row.sort_keys.push_back(
-              out_row.output[static_cast<size_t>(order_output_index[i])]);
-        } else {
-          SQLFLOW_ASSIGN_OR_RETURN(
-              Value v, EvaluateExpr(*sel.order_by[i].expr, ctx));
-          out_row.sort_keys.push_back(std::move(v));
-        }
-      }
-      produced.push_back(std::move(out_row));
+      SQLFLOW_RETURN_IF_ERROR(ProjectRow(
+          sel, shape, ctx, true,
+          [&current](size_t i) -> const Value& { return current[i]; },
+          &produced));
     }
   }
   if (prof != nullptr && grouped) {
-    std::string detail;
-    if (sel.group_by.empty()) {
-      detail = "implicit group";
-    } else {
-      for (size_t i = 0; i < sel.group_by.size(); ++i) {
-        if (i > 0) detail += ", ";
-        detail += sel.group_by[i]->ToString();
-      }
-      detail = "GROUP BY " + detail;
-    }
-    ExecProfileOp& op = prof->Add("AGGREGATE", std::move(detail));
-    op.rows_in = scope.rows.size();
-    op.rows_out = produced.size();
-    op.loops = 1;
-    op.elapsed_ns = obs::NowNanos() - agg_start;
+    RecordAggregate(sel, scope.rows.size(), produced.size(), 0, agg_start);
   }
+  return FinishSelect(sel, shape, order_by_presorted, std::move(produced));
+}
+
+Result<Executor::SelectShape> Executor::ShapeSelect(
+    const SelectStatement& sel, const std::vector<ScopeColumnRef>& columns) {
+  SelectShape shape;
+  std::vector<SelectOutput>& outputs = shape.outputs;
+  for (const SelectItem& item : sel.items) {
+    if (item.star) {
+      for (size_t i = 0; i < columns.size(); ++i) {
+        if (!item.star_qualifier.empty() &&
+            !EqualsIgnoreCase(columns[i].qualifier, item.star_qualifier)) {
+          continue;
+        }
+        SelectOutput out;
+        out.scope_index = i;
+        out.name = columns[i].name;
+        outputs.push_back(std::move(out));
+      }
+      continue;
+    }
+    SelectOutput out;
+    out.expr = item.expr.get();
+    out.name = !item.alias.empty()
+                   ? item.alias
+                   : DeriveOutputColumnName(*item.expr, outputs.size());
+    outputs.push_back(std::move(out));
+  }
+
+  bool has_aggregates = false;
+  for (const SelectOutput& out : outputs) {
+    if (out.expr != nullptr && ContainsAggregate(*out.expr)) {
+      has_aggregates = true;
+    }
+  }
+  if (sel.having != nullptr && ContainsAggregate(*sel.having)) {
+    has_aggregates = true;
+  }
+  shape.grouped = !sel.group_by.empty() || has_aggregates;
+  if (shape.grouped) {
+    for (const SelectOutput& out : outputs) {
+      if (out.expr != nullptr) CollectAggregateNodes(*out.expr, &shape.aggs);
+    }
+    if (sel.having != nullptr) CollectAggregateNodes(*sel.having, &shape.aggs);
+    for (const OrderByItem& ob : sel.order_by) {
+      CollectAggregateNodes(*ob.expr, &shape.aggs);
+    }
+  }
+
+  // ORDER BY may reference output columns (alias/name or an integer
+  // ordinal); anything else evaluates in scope.
+  shape.order_output_index.assign(sel.order_by.size(), -1);
+  for (size_t i = 0; i < sel.order_by.size(); ++i) {
+    const Expr& e = *sel.order_by[i].expr;
+    if (e.kind == ExprKind::kLiteral &&
+        e.literal.type() == ValueType::kInteger) {
+      int64_t ordinal = e.literal.integer();
+      if (ordinal < 1 || ordinal > static_cast<int64_t>(outputs.size())) {
+        return Status::InvalidArgument("ORDER BY ordinal out of range");
+      }
+      shape.order_output_index[i] = static_cast<int>(ordinal - 1);
+      continue;
+    }
+    if (e.kind == ExprKind::kColumnRef && e.table_qualifier.empty()) {
+      for (size_t j = 0; j < outputs.size(); ++j) {
+        if (EqualsIgnoreCase(outputs[j].name, e.column_name)) {
+          shape.order_output_index[i] = static_cast<int>(j);
+          break;
+        }
+      }
+    }
+  }
+  return shape;
+}
+
+void Executor::RecordAggregate(const SelectStatement& sel, size_t rows_in,
+                               size_t rows_out, uint64_t batches,
+                               int64_t start) {
+  std::string detail;
+  if (sel.group_by.empty()) {
+    detail = "implicit group";
+  } else {
+    for (size_t i = 0; i < sel.group_by.size(); ++i) {
+      if (i > 0) detail += ", ";
+      detail += sel.group_by[i]->ToString();
+    }
+    detail = "GROUP BY " + detail;
+  }
+  ExecProfileOp& op = db_->exec_profile()->Add("AGGREGATE", std::move(detail));
+  op.rows_in = rows_in;
+  op.rows_out = rows_out;
+  op.loops = 1;
+  op.batches = batches;
+  op.elapsed_ns = obs::NowNanos() - start;
+}
+
+ResultSet Executor::FinishSelect(const SelectStatement& sel,
+                                 const SelectShape& shape, bool presorted,
+                                 std::vector<SortableRow> produced) {
+  ExecProfile* prof = db_->exec_profile();
+  std::vector<std::string> out_names;
+  out_names.reserve(shape.outputs.size());
+  for (const SelectOutput& out : shape.outputs) out_names.push_back(out.name);
+  ResultSet result(out_names);
 
   // 5. DISTINCT.
   if (sel.distinct) {
     const int64_t distinct_start = prof != nullptr ? obs::NowNanos() : 0;
     const size_t distinct_rows_in = produced.size();
-    std::set<std::string> seen;
+    KeyHashTable seen;
     std::vector<SortableRow> unique;
     for (SortableRow& row : produced) {
-      if (seen.insert(RowKey(row.output)).second) {
+      auto same = [&](uint32_t kept) {
+        return GroupRowEqual(unique[kept].output, row.output);
+      };
+      if (seen.FindOrAdd(GroupRowHash(row.output),
+                         static_cast<uint32_t>(unique.size()), same)
+              .second) {
         unique.push_back(std::move(row));
       }
     }
@@ -1104,7 +979,7 @@ Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
 
   // 6. ORDER BY (stable, so equal keys keep input order). Skipped when
   // an ordered-index traversal already produced this exact order.
-  if (!sel.order_by.empty() && !order_by_presorted) {
+  if (!sel.order_by.empty() && !presorted) {
     const int64_t sort_start = prof != nullptr ? obs::NowNanos() : 0;
     std::stable_sort(
         produced.begin(), produced.end(),

@@ -1,12 +1,15 @@
 #ifndef SQLFLOW_SQL_EXECUTOR_H_
 #define SQLFLOW_SQL_EXECUTOR_H_
 
+#include <map>
 #include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "sql/ast.h"
 #include "sql/eval.h"
+#include "sql/explain.h"
+#include "sql/key_hash.h"
 #include "sql/planner.h"
 #include "sql/result_set.h"
 
@@ -16,29 +19,50 @@ class Database;
 class Table;
 
 // Helpers shared between the row-at-a-time interpreter (executor.cc) and
-// the vectorized executor (vec_exec.cc). Both paths must agree on these
-// byte-for-byte: group/DISTINCT keys, derived column names, and the
-// hash-join comparability prescan all feed user-visible results.
+// the vectorized executor (vec_exec.cc), so both agree byte-for-byte.
+// Join, group and DISTINCT keys are shared through sql/key_hash.h.
 
-/// Serializes a row to a collision-safe key (GROUP BY, DISTINCT, UNION).
-std::string ExecRowKey(const Row& row);
+/// Aggregate accumulation, shared by both executors. One AggState
+/// streams one aggregate's argument values over one group; `failed`
+/// keeps the first error (evaluating the argument, or SUM/AVG over a
+/// non-numeric value), which FinishAggregate returns.
+enum class AggKind { kCount, kSum, kAvg, kMin, kMax, kOther };
+AggKind AggKindOf(const std::string& fn);
 
-/// Collects pointers to aggregate function-call nodes in tree order (not
-/// descending into nested aggregates, which the dialect rejects anyway).
-void CollectAggregateNodes(const Expr& e, std::vector<const Expr*>* out);
+struct AggState {
+  int64_t count = 0;
+  DistinctValues distinct_seen;
+  bool have = false;
+  Value acc;           // MIN/MAX accumulator
+  int64_t sum_i = 0;   // integer SUM
+  double sum_d = 0.0;  // double SUM
+  bool all_int = true;
+  bool failed = false;
+  Status error;
+};
 
-/// Output-column name for a select item without an alias.
-std::string DeriveOutputColumnName(const Expr& e, size_t ordinal);
+/// Feeds one argument value (NULLs and repeated DISTINCT values skip).
+void FeedValue(AggState* st, AggKind kind, bool distinct, const Value& v);
+/// True for COUNT(*) and argument-less calls, which read no values.
+bool AggregateTakesNoValues(const Expr& agg);
+/// The aggregate over a group of `group_size` rows, or the error the
+/// row-at-a-time evaluation raises first.
+Result<Value> FinishAggregate(const Expr& agg, const AggState& st,
+                              int64_t group_size);
 
-/// Value-class bit for the hash-join comparability prescan (see
-/// executor.cc: kClassBool/kClassNumeric/kClassNumString/kClassRawString;
-/// NULL contributes nothing).
-unsigned JoinValueClassBit(const Value& v);
+/// One select-list output: an expression, or a scope column passed
+/// through (expr == nullptr, from a star).
+struct SelectOutput {
+  const Expr* expr = nullptr;
+  size_t scope_index = 0;
+  std::string name;
+};
 
-/// True when some left/right value pair in these class masks could raise
-/// a TypeError under the comparison rules — the hash join must decline
-/// so the nested loop surfaces the error.
-bool JoinClassesMayError(unsigned a, unsigned b);
+/// A projected row plus its ORDER BY keys.
+struct SortableRow {
+  Row output;
+  std::vector<Value> sort_keys;
+};
 
 /// Statement interpreter. Stateless apart from the owning database; one
 /// executor per database, invoked through Database::Execute.
@@ -76,6 +100,84 @@ class Executor {
   Result<ResultSet> ExecuteSelectCoreBatch(const SelectStatement& sel,
                                            const Params& params,
                                            const StatementPlan* plan);
+  /// The select list as both SELECT bodies see it: stars expanded over
+  /// `columns`, outputs named, grouping detected, and each ORDER BY item
+  /// mapped to the output it names (alias, name or ordinal; -1 means
+  /// evaluate it in scope).
+  struct SelectShape {
+    std::vector<SelectOutput> outputs;
+    bool grouped = false;
+    std::vector<const Expr*> aggs;  // grouped: aggregate nodes, tree order
+    std::vector<int> order_output_index;
+  };
+  static Result<SelectShape> ShapeSelect(
+      const SelectStatement& sel, const std::vector<ScopeColumnRef>& columns);
+  /// Projects one row or group into `produced`: the outputs, then the
+  /// ORDER BY keys, evaluated under `ctx`. A passed-through scope column
+  /// reads `column(i)`; a group without rows has none to read.
+  template <typename ColumnAt>
+  static Status ProjectRow(const SelectStatement& sel,
+                           const SelectShape& shape, const EvalContext& ctx,
+                           bool have_row, const ColumnAt& column,
+                           std::vector<SortableRow>* produced) {
+    SortableRow out_row;
+    out_row.output.reserve(shape.outputs.size());
+    for (const SelectOutput& out : shape.outputs) {
+      if (out.expr != nullptr) {
+        SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*out.expr, ctx));
+        out_row.output.push_back(std::move(v));
+      } else if (have_row) {
+        out_row.output.push_back(column(out.scope_index));
+      } else {
+        return Status::ExecutionError(
+            "cannot select columns from an empty group");
+      }
+    }
+    for (size_t i = 0; i < sel.order_by.size(); ++i) {
+      const int o = shape.order_output_index[i];
+      if (o >= 0) {
+        out_row.sort_keys.push_back(out_row.output[static_cast<size_t>(o)]);
+      } else {
+        SQLFLOW_ASSIGN_OR_RETURN(Value v,
+                                 EvaluateExpr(*sel.order_by[i].expr, ctx));
+        out_row.sort_keys.push_back(std::move(v));
+      }
+    }
+    produced->push_back(std::move(out_row));
+    return Status::OK();
+  }
+  /// One group's output row: HAVING, then ProjectRow, with `agg_values`
+  /// standing in for the aggregate nodes and `rep` binding the group's
+  /// first row (nullptr for a group without rows).
+  template <typename ColumnAt>
+  Status EmitGroup(const SelectStatement& sel, const SelectShape& shape,
+                   const Params& params,
+                   const std::map<const Expr*, Value>& agg_values,
+                   const RowBinding* rep, const ColumnAt& column,
+                   std::vector<SortableRow>* produced) {
+    EvalContext ctx;
+    ctx.binding = rep;
+    ctx.params = &params;
+    ctx.database = db_;
+    ctx.node_override = [&agg_values](const Expr& e) -> std::optional<Value> {
+      auto it = agg_values.find(&e);
+      if (it == agg_values.end()) return std::nullopt;
+      return it->second;
+    };
+    if (sel.having != nullptr) {
+      SQLFLOW_ASSIGN_OR_RETURN(Value cond, EvaluateExpr(*sel.having, ctx));
+      if (!IsTrue(cond)) return Status::OK();
+    }
+    return ProjectRow(sel, shape, ctx, rep != nullptr, column, produced);
+  }
+  /// Records the AGGREGATE profile operator of a grouped SELECT.
+  void RecordAggregate(const SelectStatement& sel, size_t rows_in,
+                       size_t rows_out, uint64_t batches, int64_t start);
+  /// The stages after projection, shared by both SELECT bodies: DISTINCT,
+  /// ORDER BY (skipped when `presorted` by index order), OFFSET/LIMIT.
+  ResultSet FinishSelect(const SelectStatement& sel, const SelectShape& shape,
+                         bool presorted, std::vector<SortableRow> produced);
+
   Result<ResultSet> ExecuteInsert(const InsertStatement& ins,
                                   const Params& params);
   Result<ResultSet> ExecuteUpdate(const UpdateStatement& upd,
@@ -95,6 +197,14 @@ class Executor {
     std::vector<size_t> slots;
     bool key_ordered = false;
   };
+
+  /// Runs the SELECT behind a FROM reference that is a derived table or
+  /// a view into `columns` (qualified by `qual`) and `rows`, recording its
+  /// profile operator. NotFound when `ref` names no view.
+  Status ExecuteSubqueryRef(const TableRef& ref, const std::string& qual,
+                            const Params& params,
+                            std::vector<ScopeColumnRef>* columns,
+                            std::vector<Row>* rows);
 
   /// Resolves the WHERE clause of a single-table statement to candidate
   /// row slots through `plan` (or inline planning when plan is null).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/string_util.h"
@@ -53,50 +52,6 @@ struct Table::ParsedChecks {
   Status parse_status;
   std::vector<ExprPtr> expressions;
 };
-
-void AppendLookupKeyPart(const Value& v, std::string* out) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      out->push_back('N');
-      break;
-    case ValueType::kBoolean:
-      out->push_back('B');
-      out->push_back(v.boolean() ? '1' : '0');
-      break;
-    case ValueType::kInteger:
-    case ValueType::kDouble:
-    case ValueType::kString: {
-      // The executor compares numbers (and numeric strings) through
-      // double, so normalize all of them to one representation; strings
-      // that don't parse keep their raw bytes.
-      bool numeric = true;
-      double d = 0.0;
-      if (v.type() == ValueType::kString) {
-        Result<double> parsed = v.AsDouble();
-        if (parsed.ok()) {
-          d = *parsed;
-        } else {
-          numeric = false;
-        }
-      } else {
-        d = v.type() == ValueType::kInteger
-                ? static_cast<double>(v.integer())
-                : v.dbl();
-      }
-      if (numeric) {
-        if (d == 0.0) d = 0.0;  // collapse -0.0 (compares equal to +0.0)
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "D%.17g", d);
-        *out += buf;
-      } else {
-        out->push_back('S');
-        *out += v.str();
-      }
-      break;
-    }
-  }
-  out->push_back('\x1f');
-}
 
 int OrderedValueCompare(const Value& a, const Value& b) {
   bool a_nan = a.type() == ValueType::kDouble && std::isnan(a.dbl());

@@ -36,14 +36,6 @@ using IndexMaintenanceHook =
 IndexMaintenanceHook ExchangeIndexMaintenanceHook(
     IndexMaintenanceHook next);
 
-/// Serializes one value into `out` under *SQL equality* normalization:
-/// two values that compare equal under the executor's comparison rules
-/// (Integer 1, Double 1.0, String "1") produce the same bytes. Distinct
-/// values may collide (e.g. byte-different numeric strings "1.0"/"1.00");
-/// consumers (the row and batch hash joins) must re-check the predicate on
-/// every candidate, so a collision costs time, never correctness.
-void AppendLookupKeyPart(const Value& v, std::string* out);
-
 /// Value order used by ordered indexes. Identical to Value::Compare
 /// except that a NaN double is pinned to the top of the numeric rank
 /// (NaN == NaN, NaN > every other numeric). Value::Compare answers

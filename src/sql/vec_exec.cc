@@ -4,14 +4,14 @@
 #include <cmath>
 #include <deque>
 #include <map>
-#include <set>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
 #include "obs/trace.h"
 #include "sql/database.h"
 #include "sql/executor.h"
+#include "sql/key_hash.h"
 #include "sql/planner.h"
 #include "sql/profile.h"
 #include "sql/result_set.h"
@@ -664,73 +664,6 @@ bool TryVecEval(const Expr& e, const VecWindow& w, VecCol* out) {
 
 namespace {
 
-enum class AggKind { kCount, kSum, kAvg, kMin, kMax, kOther };
-
-AggKind AggKindOf(const std::string& fn) {
-  if (fn == "COUNT") return AggKind::kCount;
-  if (fn == "SUM") return AggKind::kSum;
-  if (fn == "AVG") return AggKind::kAvg;
-  if (fn == "MIN") return AggKind::kMin;
-  if (fn == "MAX") return AggKind::kMax;
-  return AggKind::kOther;
-}
-
-/// Streaming replica of ComputeAggregate's accumulator loop. `failed`
-/// records the first argument-evaluation error for this (group,
-/// aggregate) pair; finalization returns recorded errors in the row
-/// path's group-major, aggregate-minor order.
-struct AggState {
-  int64_t count = 0;
-  std::set<std::string> distinct_seen;
-  bool have = false;
-  Value acc;           // MIN/MAX accumulator
-  int64_t sum_i = 0;   // integer SUM
-  double sum_d = 0.0;  // double SUM
-  bool all_int = true;
-  bool failed = false;
-  Status error;
-};
-
-void FeedValue(AggState* st, AggKind kind, bool distinct, const Value& v) {
-  if (v.is_null()) return;
-  if (distinct) {
-    std::string key = ExecRowKey({v});
-    if (!st->distinct_seen.insert(std::move(key)).second) return;
-  }
-  ++st->count;
-  switch (kind) {
-    case AggKind::kMin:
-    case AggKind::kMax: {
-      bool better = kind == AggKind::kMin ? v.Compare(st->acc) < 0
-                                          : v.Compare(st->acc) > 0;
-      if (!st->have || better) {
-        st->acc = v;
-        st->have = true;
-      }
-      break;
-    }
-    case AggKind::kSum:
-    case AggKind::kAvg: {
-      if (v.type() == ValueType::kInteger) {
-        st->sum_i += v.integer();
-        st->sum_d += static_cast<double>(v.integer());
-      } else {
-        Result<double> d = v.AsDouble();
-        if (!d.ok()) {
-          st->failed = true;
-          st->error = d.status();
-          return;
-        }
-        st->sum_d += *d;
-        st->all_int = false;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 /// Integer fast path: one non-null int element, no DISTINCT.
 void FeedInt(AggState* st, AggKind kind, int64_t x) {
   ++st->count;
@@ -765,29 +698,6 @@ void FeedInt(AggState* st, AggKind kind, int64_t x) {
   }
 }
 
-/// Finalization mirror of ComputeAggregate's tail (count already
-/// includes DISTINCT filtering).
-Value FinalizeAgg(const AggState& st, AggKind kind) {
-  if (kind == AggKind::kCount) return Value::Integer(st.count);
-  if (st.count == 0) return Value::Null();
-  if (kind == AggKind::kMin || kind == AggKind::kMax) return st.acc;
-  if (kind == AggKind::kSum) {
-    return st.all_int ? Value::Integer(st.sum_i) : Value::Double(st.sum_d);
-  }
-  return Value::Double(st.sum_d / static_cast<double>(st.count));  // AVG
-}
-
-struct OutputItem {
-  const Expr* expr = nullptr;  // null ⇒ direct scope column passthrough
-  size_t scope_index = 0;
-  std::string name;
-};
-
-struct SortableRow {
-  Row output;
-  std::vector<Value> sort_keys;
-};
-
 bool VecIsTrue(const VecCol& col, size_t i) {
   return col.tag == Tag::kBool && !col.IsNull(i) && col.bools[i] != 0;
 }
@@ -819,24 +729,19 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     side_store.emplace_back();
     VecSide& right_side = side_store.back();
     std::vector<uint32_t> right_slots;
-    if (ref.derived != nullptr) {
-      SQLFLOW_ASSIGN_OR_RETURN(ResultSet derived,
-                               ExecuteSelect(*ref.derived, params));
-      for (const std::string& name : derived.column_names()) {
-        right_cols.push_back({qual, name});
-      }
-      size_t width = derived.column_count();
-      right_side.OwnRows(std::move(derived.mutable_rows()), width);
+    Table* table = ref.derived == nullptr
+                       ? db_->catalog().FindTable(ref.table_name)
+                       : nullptr;
+    if (table == nullptr) {
+      std::vector<Row> rows;
+      SQLFLOW_RETURN_IF_ERROR(
+          ExecuteSubqueryRef(ref, qual, params, &right_cols, &rows));
+      right_side.OwnRows(std::move(rows), right_cols.size());
       right_slots.resize(right_side.rows->size());
       for (size_t i = 0; i < right_slots.size(); ++i) {
         right_slots[i] = static_cast<uint32_t>(i);
       }
-      if (prof != nullptr) {
-        ExecProfileOp& op = prof->Add("DERIVED", qual);
-        op.rows_in = op.rows_out = right_slots.size();
-        op.loops = 1;
-      }
-    } else if (Table* table = db_->catalog().FindTable(ref.table_name)) {
+    } else {
       for (const ColumnDef& col : table->schema().columns()) {
         right_cols.push_back({qual, col.name});
       }
@@ -885,34 +790,6 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
           op.loops = 1;
         }
       }
-    } else if (const SelectStatement* view =
-                   db_->catalog().FindView(ref.table_name)) {
-      int* depth = db_->MutableViewDepth();
-      if (++*depth > kMaxViewDepth) {
-        --*depth;
-        return Status::ExecutionError(
-            "view expansion too deep (cyclic view definition?)");
-      }
-      auto view_result = ExecuteSelect(*view, params);
-      --*depth;
-      if (!view_result.ok()) return view_result.status();
-      for (const std::string& name : view_result->column_names()) {
-        right_cols.push_back({qual, name});
-      }
-      size_t width = view_result->column_count();
-      right_side.OwnRows(std::move(view_result->mutable_rows()), width);
-      right_slots.resize(right_side.rows->size());
-      for (size_t i = 0; i < right_slots.size(); ++i) {
-        right_slots[i] = static_cast<uint32_t>(i);
-      }
-      if (prof != nullptr) {
-        ExecProfileOp& op = prof->Add("VIEW", ref.table_name);
-        op.rows_in = op.rows_out = right_slots.size();
-        op.loops = 1;
-      }
-    } else {
-      return Status::NotFound("no table or view '" + ref.table_name +
-                              "'");
     }
     db_->MutableStats()->rows_read += right_slots.size();
     if (first_ref) {
@@ -931,6 +808,8 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     combined_cols.insert(combined_cols.end(), right_cols.begin(),
                          right_cols.end());
 
+    const int64_t join_start = prof != nullptr ? obs::NowNanos() : 0;
+    const size_t join_rows_in = left_rows + right_rows;
     std::vector<std::pair<size_t, size_t>> key_pairs;
     bool hash_join = db_->optimizer_enabled() &&
                      ref.join_condition != nullptr &&
@@ -939,88 +818,29 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     if (hash_join) {
       key_pairs = ExtractEquiJoinKeys(*ref.join_condition, combined_cols,
                                       left_width);
-      bool comparable = !key_pairs.empty();
-      // Comparability prescan over every input value (mirrors
-      // JoinKeysComparable over materialized rows).
-      // Key pairs are (left combined ordinal, right-relative ordinal).
-      for (const auto& [lo, ro] : key_pairs) {
-        if (!comparable) break;
-        unsigned lmask = 0;
-        unsigned rmask = 0;
-        for (size_t r = 0; r < left_rows; ++r) {
-          lmask |= JoinValueClassBit(scope.AtRef(r, lo));
-        }
-        for (uint32_t slot : right_slots) {
-          rmask |= JoinValueClassBit((*right_side.rows)[slot][ro]);
-        }
-        if (JoinClassesMayError(lmask, rmask)) comparable = false;
-      }
-      hash_join = comparable;
+      hash_join = !key_pairs.empty();
     }
-
-    const int64_t join_start = prof != nullptr ? obs::NowNanos() : 0;
-    const size_t join_rows_in = left_rows + right_rows;
-
-    // Output slot vectors (previous sides + the new right side).
-    std::vector<std::vector<uint32_t>> out_slots(prev_sides + 1);
-
-    // Candidate right positions per left row (hash join), or implicit
-    // full range (nested loop).
-    std::vector<std::vector<size_t>> right_of_left;
+    // Key pairs are (left combined ordinal, right-relative ordinal).
+    std::optional<JoinCandidates> candidates;
+    if (hash_join) {
+      candidates.emplace(
+          left_rows, right_rows, key_pairs.size(),
+          [&](size_t r, size_t k) -> const Value& {
+            return scope.AtRef(r, key_pairs[k].first);
+          },
+          [&](size_t r, size_t k) -> const Value& {
+            return (*right_side.rows)[right_slots[r]][key_pairs[k].second];
+          });
+      hash_join = candidates->comparable();
+    }
     if (hash_join) {
       db_->NotePlanChoice(PlanChoice::kHashJoin);
-      auto left_key = [&](size_t li, std::string* key) -> bool {
-        for (const auto& [lo, ro] : key_pairs) {
-          (void)ro;
-          const Value& v = scope.AtRef(li, lo);
-          if (v.is_null()) return false;
-          AppendLookupKeyPart(v, key);
-        }
-        return true;
-      };
-      auto right_key = [&](size_t ri, std::string* key) -> bool {
-        for (const auto& [lo, ro] : key_pairs) {
-          (void)lo;
-          const Value& v = (*right_side.rows)[right_slots[ri]][ro];
-          if (v.is_null()) return false;
-          AppendLookupKeyPart(v, key);
-        }
-        return true;
-      };
-      right_of_left.assign(left_rows, {});
-      const bool build_left = left_rows < right_rows;
-      std::unordered_map<std::string, std::vector<size_t>> buckets;
-      if (build_left) {
-        buckets.reserve(left_rows);
-        for (size_t li = 0; li < left_rows; ++li) {
-          std::string key;
-          if (left_key(li, &key)) buckets[std::move(key)].push_back(li);
-        }
-        for (size_t ri = 0; ri < right_rows; ++ri) {
-          std::string key;
-          if (!right_key(ri, &key)) continue;
-          auto bucket = buckets.find(key);
-          if (bucket == buckets.end()) continue;
-          for (size_t li : bucket->second) {
-            right_of_left[li].push_back(ri);
-          }
-        }
-      } else {
-        buckets.reserve(right_rows);
-        for (size_t ri = 0; ri < right_rows; ++ri) {
-          std::string key;
-          if (right_key(ri, &key)) buckets[std::move(key)].push_back(ri);
-        }
-        for (size_t li = 0; li < left_rows; ++li) {
-          std::string key;
-          if (!left_key(li, &key)) continue;
-          auto bucket = buckets.find(key);
-          if (bucket != buckets.end()) right_of_left[li] = bucket->second;
-        }
-      }
     } else if (ref.join_condition != nullptr) {
       db_->NotePlanChoice(PlanChoice::kScan);
     }
+
+    // Output slot vectors (previous sides + the new right side).
+    std::vector<std::vector<uint32_t>> out_slots(prev_sides + 1);
 
     // Streaming pair evaluation: candidate (li, ri) pairs flow through
     // kBatchCapacity windows in the row path's emission order; LEFT
@@ -1128,10 +948,8 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
 
     if (hash_join) {
       for (size_t li = 0; li < left_rows; ++li) {
-        for (size_t ri : right_of_left[li]) {
-          Status s = push_pair(li, ri);
-          if (!s.ok()) return s;
-        }
+        SQLFLOW_RETURN_IF_ERROR(candidates->ForEach(
+            li, [&](size_t ri) { return push_pair(li, ri); }));
       }
     } else {
       for (size_t li = 0; li < left_rows; ++li) {
@@ -1224,86 +1042,18 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
   }
   const size_t filtered_rows = scope.row_count();
 
-  // --- 3. Expand stars & name output columns ------------------------------
-  std::vector<OutputItem> outputs;
-  for (const SelectItem& item : sel.items) {
-    if (item.star) {
-      for (size_t i = 0; i < scope.columns.size(); ++i) {
-        if (!item.star_qualifier.empty() &&
-            !EqualsIgnoreCase(scope.columns[i].qualifier,
-                              item.star_qualifier)) {
-          continue;
-        }
-        OutputItem out;
-        out.scope_index = i;
-        out.name = scope.columns[i].name;
-        outputs.push_back(std::move(out));
-      }
-      continue;
-    }
-    OutputItem out;
-    out.expr = item.expr.get();
-    out.name = !item.alias.empty()
-                   ? item.alias
-                   : DeriveOutputColumnName(*item.expr, outputs.size());
-    outputs.push_back(std::move(out));
-  }
-
-  // --- 4. Grouped vs plain projection -------------------------------------
-  bool has_aggregates = false;
-  for (const OutputItem& out : outputs) {
-    if (out.expr != nullptr && ContainsAggregate(*out.expr)) {
-      has_aggregates = true;
-    }
-  }
-  if (sel.having != nullptr && ContainsAggregate(*sel.having)) {
-    has_aggregates = true;
-  }
-  bool grouped = !sel.group_by.empty() || has_aggregates;
-
-  std::vector<std::string> out_names;
-  out_names.reserve(outputs.size());
-  for (const OutputItem& out : outputs) out_names.push_back(out.name);
-  ResultSet result(out_names);
-
+  // --- 3–4. Output columns; grouped or plain projection -----------------
+  SQLFLOW_ASSIGN_OR_RETURN(SelectShape shape, ShapeSelect(sel, scope.columns));
+  const std::vector<SelectOutput>& outputs = shape.outputs;
+  const std::vector<int>& order_output_index = shape.order_output_index;
+  const bool grouped = shape.grouped;
   std::vector<SortableRow> produced;
-
-  std::vector<int> order_output_index(sel.order_by.size(), -1);
-  for (size_t i = 0; i < sel.order_by.size(); ++i) {
-    const Expr& e = *sel.order_by[i].expr;
-    if (e.kind == ExprKind::kLiteral &&
-        e.literal.type() == ValueType::kInteger) {
-      int64_t ordinal = e.literal.integer();
-      if (ordinal < 1 || ordinal > static_cast<int64_t>(outputs.size())) {
-        return Status::InvalidArgument("ORDER BY ordinal out of range");
-      }
-      order_output_index[i] = static_cast<int>(ordinal - 1);
-      continue;
-    }
-    if (e.kind == ExprKind::kColumnRef && e.table_qualifier.empty()) {
-      for (size_t j = 0; j < outputs.size(); ++j) {
-        if (EqualsIgnoreCase(outputs[j].name, e.column_name)) {
-          order_output_index[i] = static_cast<int>(j);
-          break;
-        }
-      }
-    }
-  }
 
   const int64_t agg_start =
       (prof != nullptr && grouped) ? obs::NowNanos() : 0;
   uint64_t agg_windows = 0;
   if (grouped) {
-    std::vector<const Expr*> agg_nodes;
-    for (const OutputItem& out : outputs) {
-      if (out.expr != nullptr) CollectAggregateNodes(*out.expr, &agg_nodes);
-    }
-    if (sel.having != nullptr) {
-      CollectAggregateNodes(*sel.having, &agg_nodes);
-    }
-    for (const OrderByItem& ob : sel.order_by) {
-      CollectAggregateNodes(*ob.expr, &agg_nodes);
-    }
+    const std::vector<const Expr*>& agg_nodes = shape.aggs;
     const size_t num_aggs = agg_nodes.size();
 
     // 4a. Partition rows into groups (one pass — the row path partitions
@@ -1317,11 +1067,14 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
       group_rep.push_back(filtered_rows > 0 ? 0 : SIZE_MAX);
       group_size.push_back(static_cast<int64_t>(filtered_rows));
     } else {
-      std::map<std::string, uint32_t> group_index;
+      // Keys hash and compare straight from the key columns; a key Row
+      // is built only when a row opens a new group.
+      KeyHashTable group_index;
+      std::vector<Row> group_keys;
       const size_t G = sel.group_by.size();
       std::vector<VecCol> key_cols(G);
       std::vector<uint8_t> key_vec(G, 0);
-      Row key_values;
+      Row scalar_keys(G);
       for (size_t start = 0; start < filtered_rows;
            start += kBatchCapacity) {
         const size_t count = std::min(kBatchCapacity, filtered_rows - start);
@@ -1331,27 +1084,42 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
         }
         for (size_t i = 0; i < count; ++i) {
           const size_t r = start + i;
-          key_values.clear();
+          uint64_t hash = 0;
           for (size_t j = 0; j < G; ++j) {
-            if (key_vec[j]) {
-              key_values.push_back(key_cols[j].At(i));
-            } else {
+            if (!key_vec[j]) {
               scalar_binding.set_row(r);
               SQLFLOW_ASSIGN_OR_RETURN(
-                  Value v, EvaluateExpr(*sel.group_by[j], scalar_ctx));
-              key_values.push_back(std::move(v));
+                  scalar_keys[j], EvaluateExpr(*sel.group_by[j], scalar_ctx));
             }
+            hash = CombineHash(hash, key_vec[j]
+                                         ? GroupValueHash(key_cols[j], i)
+                                         : GroupValueHash(scalar_keys[j]));
           }
-          std::string key = ExecRowKey(key_values);
-          auto [it, inserted] = group_index.try_emplace(
-              std::move(key), static_cast<uint32_t>(num_groups));
+          auto same = [&](uint32_t g) {
+            const Row& key = group_keys[g];
+            for (size_t j = 0; j < G; ++j) {
+              if (key_vec[j] ? !GroupValueEqual(key_cols[j], i, key[j])
+                             : !GroupValueEqual(scalar_keys[j], key[j])) {
+                return false;
+              }
+            }
+            return true;
+          };
+          auto [g, inserted] = group_index.FindOrAdd(
+              hash, static_cast<uint32_t>(num_groups), same);
           if (inserted) {
+            Row key;
+            key.reserve(G);
+            for (size_t j = 0; j < G; ++j) {
+              key.push_back(key_vec[j] ? key_cols[j].At(i) : scalar_keys[j]);
+            }
+            group_keys.push_back(std::move(key));
             ++num_groups;
             group_rep.push_back(r);
             group_size.push_back(0);
           }
-          group_of_row[r] = it->second;
-          ++group_size[it->second];
+          group_of_row[r] = g;
+          ++group_size[g];
         }
       }
     }
@@ -1360,12 +1128,8 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     std::vector<AggKind> agg_kinds(num_aggs);
     std::vector<uint8_t> agg_skip(num_aggs, 0);  // COUNT(*) / argless
     for (size_t a = 0; a < num_aggs; ++a) {
-      const Expr& agg = *agg_nodes[a];
-      agg_kinds[a] = AggKindOf(agg.function_name);
-      bool star = !agg.children.empty() &&
-                  agg.children[0]->kind == ExprKind::kStar;
-      agg_skip[a] =
-          (agg.function_name == "COUNT" && star) || agg.children.empty();
+      agg_kinds[a] = AggKindOf(agg_nodes[a]->function_name);
+      agg_skip[a] = AggregateTakesNoValues(*agg_nodes[a]);
     }
     std::vector<AggState> states(num_groups * num_aggs);
     bool any_accum = false;
@@ -1426,70 +1190,21 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     for (size_t g = 0; g < num_groups; ++g) {
       std::map<const Expr*, Value> agg_values;
       for (size_t a = 0; a < num_aggs; ++a) {
-        const Expr& agg = *agg_nodes[a];
-        bool star = !agg.children.empty() &&
-                    agg.children[0]->kind == ExprKind::kStar;
-        if (agg.function_name == "COUNT" && star) {
-          agg_values[&agg] = Value::Integer(group_size[g]);
-          continue;
-        }
-        if (agg.children.empty()) {
-          return Status::InvalidArgument(agg.function_name +
-                                         " requires an argument");
-        }
-        AggState& st = states[g * num_aggs + a];
-        if (st.failed) return st.error;
-        if (agg_kinds[a] == AggKind::kOther) {
-          return Status::Internal("bad aggregate " + agg.function_name);
-        }
-        agg_values[&agg] = FinalizeAgg(st, agg_kinds[a]);
+        SQLFLOW_ASSIGN_OR_RETURN(
+            agg_values[agg_nodes[a]],
+            FinishAggregate(*agg_nodes[a], states[g * num_aggs + a],
+                            group_size[g]));
       }
 
-      const bool empty_group = group_size[g] == 0;
       VecRowBinding rep_binding(&scope);
-      if (!empty_group) rep_binding.set_row(group_rep[g]);
-      EvalContext ctx;
-      ctx.binding = empty_group ? nullptr : &rep_binding;
-      ctx.params = &params;
-      ctx.database = db_;
-      ctx.node_override =
-          [&agg_values](const Expr& e) -> std::optional<Value> {
-        auto it = agg_values.find(&e);
-        if (it == agg_values.end()) return std::nullopt;
-        return it->second;
-      };
-
-      if (sel.having != nullptr) {
-        SQLFLOW_ASSIGN_OR_RETURN(Value cond,
-                                 EvaluateExpr(*sel.having, ctx));
-        if (!IsTrue(cond)) continue;
-      }
-
-      SortableRow out_row;
-      for (const OutputItem& out : outputs) {
-        if (out.expr == nullptr) {
-          if (empty_group) {
-            return Status::ExecutionError(
-                "cannot select columns from an empty group");
-          }
-          out_row.output.push_back(
-              scope.AtRef(group_rep[g], out.scope_index));
-        } else {
-          SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*out.expr, ctx));
-          out_row.output.push_back(std::move(v));
-        }
-      }
-      for (size_t i = 0; i < sel.order_by.size(); ++i) {
-        if (order_output_index[i] >= 0) {
-          out_row.sort_keys.push_back(
-              out_row.output[static_cast<size_t>(order_output_index[i])]);
-        } else {
-          SQLFLOW_ASSIGN_OR_RETURN(
-              Value v, EvaluateExpr(*sel.order_by[i].expr, ctx));
-          out_row.sort_keys.push_back(std::move(v));
-        }
-      }
-      produced.push_back(std::move(out_row));
+      rep_binding.set_row(group_rep[g]);
+      SQLFLOW_RETURN_IF_ERROR(EmitGroup(
+          sel, shape, params, agg_values,
+          group_size[g] == 0 ? nullptr : &rep_binding,
+          [&](size_t i) -> const Value& {
+            return scope.AtRef(group_rep[g], i);
+          },
+          &produced));
     }
   } else {
     // Plain projection: per-window kernels per output column, scalar
@@ -1520,7 +1235,7 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
         SortableRow out_row;
         out_row.output.reserve(O);
         for (size_t o = 0; o < O; ++o) {
-          const OutputItem& out = outputs[o];
+          const SelectOutput& out = outputs[o];
           if (out.expr == nullptr) {
             out_row.output.push_back(scope.AtRef(r, out.scope_index));
           } else if (out_vec[o]) {
@@ -1550,100 +1265,10 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     }
   }
   if (prof != nullptr && grouped) {
-    std::string detail;
-    if (sel.group_by.empty()) {
-      detail = "implicit group";
-    } else {
-      for (size_t i = 0; i < sel.group_by.size(); ++i) {
-        if (i > 0) detail += ", ";
-        detail += sel.group_by[i]->ToString();
-      }
-      detail = "GROUP BY " + detail;
-    }
-    ExecProfileOp& op = prof->Add("AGGREGATE", std::move(detail));
-    op.rows_in = filtered_rows;
-    op.rows_out = produced.size();
-    op.loops = 1;
-    op.batches = agg_windows;
-    op.elapsed_ns = obs::NowNanos() - agg_start;
+    RecordAggregate(sel, filtered_rows, produced.size(), agg_windows,
+                    agg_start);
   }
-
-  // --- 5. DISTINCT --------------------------------------------------------
-  if (sel.distinct) {
-    const int64_t distinct_start = prof != nullptr ? obs::NowNanos() : 0;
-    const size_t distinct_rows_in = produced.size();
-    std::set<std::string> seen;
-    std::vector<SortableRow> unique;
-    for (SortableRow& row : produced) {
-      if (seen.insert(ExecRowKey(row.output)).second) {
-        unique.push_back(std::move(row));
-      }
-    }
-    produced = std::move(unique);
-    if (prof != nullptr) {
-      ExecProfileOp& op = prof->Add("DISTINCT", "");
-      op.rows_in = distinct_rows_in;
-      op.rows_out = produced.size();
-      op.loops = 1;
-      op.elapsed_ns = obs::NowNanos() - distinct_start;
-    }
-  }
-
-  // --- 6. ORDER BY --------------------------------------------------------
-  if (!sel.order_by.empty() && !order_by_presorted) {
-    const int64_t sort_start = prof != nullptr ? obs::NowNanos() : 0;
-    std::stable_sort(
-        produced.begin(), produced.end(),
-        [&sel](const SortableRow& a, const SortableRow& b) {
-          for (size_t i = 0; i < sel.order_by.size(); ++i) {
-            int cmp = a.sort_keys[i].Compare(b.sort_keys[i]);
-            if (cmp != 0) {
-              return sel.order_by[i].descending ? cmp > 0 : cmp < 0;
-            }
-          }
-          return false;
-        });
-    if (prof != nullptr) {
-      ExecProfileOp& op = prof->Add("SORT", "");
-      op.rows_in = op.rows_out = produced.size();
-      op.loops = 1;
-      op.elapsed_ns = obs::NowNanos() - sort_start;
-    }
-  } else if (!sel.order_by.empty() && prof != nullptr) {
-    ExecProfileOp& op = prof->Add("SORT", "elided (index order)");
-    op.rows_in = op.rows_out = produced.size();
-    op.loops = 1;
-  }
-
-  // --- 7. OFFSET / LIMIT --------------------------------------------------
-  size_t begin = 0;
-  size_t end = produced.size();
-  if (sel.offset.has_value()) {
-    begin = std::min<size_t>(static_cast<size_t>(*sel.offset), end);
-  }
-  if (sel.limit.has_value()) {
-    end = std::min<size_t>(begin + static_cast<size_t>(*sel.limit), end);
-  }
-  if (prof != nullptr &&
-      (sel.offset.has_value() || sel.limit.has_value())) {
-    std::string detail;
-    if (sel.offset.has_value()) {
-      detail += "OFFSET " + std::to_string(*sel.offset);
-    }
-    if (sel.limit.has_value()) {
-      if (!detail.empty()) detail += " ";
-      detail += "LIMIT " + std::to_string(*sel.limit);
-    }
-    ExecProfileOp& op = prof->Add("LIMIT", std::move(detail));
-    op.rows_in = produced.size();
-    op.rows_out = end - begin;
-    op.loops = 1;
-  }
-  for (size_t i = begin; i < end; ++i) {
-    result.AddRow(std::move(produced[i].output));
-  }
-  db_->MutableStats()->bytes_materialized += result.ApproxByteSize();
-  return result;
+  return FinishSelect(sel, shape, order_by_presorted, std::move(produced));
 }
 
 }  // namespace sqlflow::sql

@@ -472,6 +472,73 @@ TEST_F(ExecutorTest, AggregateOutsideGroupScopeIsError) {
       db_.Execute("SELECT * FROM Orders WHERE SUM(Quantity) > 1").ok());
 }
 
+// Group identity: two keys are one group when both are NULL, or when
+// they have the same type and are equal (DOUBLE: -0.0 = 0.0). GROUP BY,
+// DISTINCT, UNION and COUNT(DISTINCT) agree on it in both executors.
+class GroupKeyTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    db_.set_batch_enabled(GetParam());
+    ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      CREATE TABLE t (id INTEGER PRIMARY KEY, d DOUBLE);
+      INSERT INTO t VALUES (1, 1.0000001), (2, 1.0000002), (3, 0.0),
+                           (4, -0.0), (5, NULL), (6, NULL);
+    )sql")
+                    .ok());
+  }
+
+  ResultSet Query(const std::string& sql) {
+    auto result = db_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " → " << result.status().ToString();
+    return std::move(result).value_or(ResultSet());
+  }
+
+  Database db_{"group_keys"};
+};
+
+TEST_P(GroupKeyTest, GroupByKeepsNearEqualDoublesApart) {
+  ResultSet rs = Query("SELECT d, COUNT(*) FROM t GROUP BY d ORDER BY d");
+  ASSERT_EQ(rs.row_count(), 4u);
+  EXPECT_TRUE(rs.rows()[0][0].is_null());  // NULLs form one group
+  EXPECT_EQ(rs.rows()[0][1], Value::Integer(2));
+  EXPECT_EQ(rs.rows()[1][0], Value::Double(0.0));  // 0.0 and -0.0 merge
+  EXPECT_EQ(rs.rows()[1][1], Value::Integer(2));
+  EXPECT_EQ(rs.rows()[2][0], Value::Double(1.0000001));
+  EXPECT_EQ(rs.rows()[2][1], Value::Integer(1));
+  EXPECT_EQ(rs.rows()[3][0], Value::Double(1.0000002));
+  EXPECT_EQ(rs.rows()[3][1], Value::Integer(1));
+  // The same identity WHERE uses.
+  EXPECT_EQ(Query("SELECT id FROM t WHERE d = 1.0000001").row_count(), 1u);
+}
+
+TEST_P(GroupKeyTest, DistinctUnionAndCountDistinctAgree) {
+  EXPECT_EQ(Query("SELECT DISTINCT d FROM t").row_count(), 4u);
+  EXPECT_EQ(Query("SELECT d FROM t UNION SELECT d FROM t").row_count(), 4u);
+  ResultSet rs = Query("SELECT COUNT(DISTINCT d) FROM t");  // NULL skipped
+  EXPECT_EQ(rs.rows()[0][0], Value::Integer(3));
+}
+
+TEST_P(GroupKeyTest, IntegerAndDoubleStaySeparate) {
+  EXPECT_EQ(Query("SELECT 1 UNION SELECT 1.0").row_count(), 2u);
+  ResultSet rs = Query(
+      "SELECT k, COUNT(*) FROM (SELECT 1 AS k UNION ALL SELECT 1.0 AS k "
+      "UNION ALL SELECT 1) AS u GROUP BY k");
+  ASSERT_EQ(rs.row_count(), 2u);
+  EXPECT_EQ(rs.rows()[0][0].type(), ValueType::kInteger);
+  EXPECT_EQ(rs.rows()[0][1], Value::Integer(2));
+  EXPECT_EQ(rs.rows()[1][0].type(), ValueType::kDouble);
+  EXPECT_EQ(rs.rows()[1][1], Value::Integer(1));
+  EXPECT_EQ(Query("SELECT DISTINCT k FROM (SELECT 1 AS k UNION ALL "
+                  "SELECT 1.0 AS k) AS u")
+                .row_count(),
+            2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothExecutors, GroupKeyTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Batch" : "Row";
+                         });
+
 // LIKE semantics, exercised pairwise.
 struct LikeCase {
   const char* text;

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "sql/batch.h"
 #include "sql/database.h"
+#include "sql/key_hash.h"
 #include "sql/planner.h"
 #include "sql/table.h"
 
@@ -59,13 +63,15 @@ class PlansTest : public ::testing::Test {
   Database db_{"plans"};
 };
 
-// --- lookup-key normalization ----------------------------------------------
+// --- join-key hash normalization -------------------------------------------
 
-TEST(LookupKeyTest, ValuesEqualUnderSqlComparisonSerializeIdentically) {
-  auto key = [](const Value& v) {
-    std::string out;
-    AppendLookupKeyPart(v, &out);
-    return out;
+TEST(LookupKeyTest, ValuesEqualUnderSqlComparisonHashIdentically) {
+  // nullopt: a NULL key part never matches anything.
+  auto key = [](const Value& v) -> std::optional<uint64_t> {
+    uint64_t hash = 0;
+    unsigned classes = 0;
+    if (!HashJoinKeyPart(v, &hash, &classes)) return std::nullopt;
+    return hash;
   };
   // 1 = 1.0 = '1' = '1.0' under the engine's coercing comparison.
   EXPECT_EQ(key(Value::Integer(1)), key(Value::Double(1.0)));
@@ -74,11 +80,61 @@ TEST(LookupKeyTest, ValuesEqualUnderSqlComparisonSerializeIdentically) {
   // -0.0 and +0.0 compare equal, so they must collide.
   EXPECT_EQ(key(Value::Double(0.0)), key(Value::Double(-0.0)));
   EXPECT_EQ(key(Value::Double(0.0)), key(Value::String("-0")));
+  // Every NaN hashes alike, whatever its payload or sign.
+  EXPECT_EQ(key(Value::Double(std::nan(""))),
+            key(Value::Double(-std::nan("7"))));
+  EXPECT_EQ(key(Value::Double(std::nan(""))), key(Value::String("nan")));
   // Distinct values must not collide.
   EXPECT_NE(key(Value::Integer(1)), key(Value::Integer(2)));
   EXPECT_NE(key(Value::String("abc")), key(Value::String("abd")));
   EXPECT_NE(key(Value::Boolean(true)), key(Value::Integer(1)));
   EXPECT_NE(key(Value::Null()), key(Value::String("")));
+}
+
+TEST(GroupKeyHashTest, IdentityIsSameTypeAndEqual) {
+  const Value nan = Value::Double(std::nan(""));
+  const Value other_nan = Value::Double(-std::nan("7"));
+  EXPECT_TRUE(GroupValueEqual(nan, other_nan));
+  EXPECT_EQ(GroupValueHash(nan), GroupValueHash(other_nan));
+  EXPECT_TRUE(GroupValueEqual(Value::Double(0.0), Value::Double(-0.0)));
+  EXPECT_EQ(GroupValueHash(Value::Double(0.0)),
+            GroupValueHash(Value::Double(-0.0)));
+  EXPECT_TRUE(GroupValueEqual(Value::Null(), Value::Null()));
+  EXPECT_FALSE(GroupValueEqual(Value::Integer(1), Value::Double(1.0)));
+  EXPECT_FALSE(GroupValueEqual(Value::String("1"), Value::Integer(1)));
+  EXPECT_FALSE(
+      GroupValueEqual(Value::Double(1.0000001), Value::Double(1.0000002)));
+  EXPECT_FALSE(GroupValueEqual(Value::Null(), Value::String("")));
+  // A batch column element hashes and compares like its Value.
+  VecCol col;
+  const std::vector<Value> values = {Value::Double(-0.0), Value::Null(),
+                                     Value::Double(2.5), nan};
+  ASSERT_TRUE(LoadVecCol(
+      values.size(), [&](size_t i) -> const Value& { return values[i]; },
+      &col));
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(GroupValueHash(col, i), GroupValueHash(values[i])) << i;
+    EXPECT_TRUE(GroupValueEqual(col, i, values[i])) << i;
+  }
+  EXPECT_TRUE(GroupValueEqual(col, 0, Value::Double(0.0)));
+  EXPECT_FALSE(GroupValueEqual(col, 0, Value::Integer(0)));
+}
+
+TEST(GroupKeyHashTest, TableChainsKeepInsertionOrder) {
+  KeyHashTable table;
+  // Ids under one hash come back in the order they were added, also
+  // across the table's growth (100 hashes outgrow the first 16 buckets).
+  for (uint32_t id = 0; id < 300; ++id) table.Add(id % 100 + 7, id);
+  for (uint64_t hash = 7; hash < 107; ++hash) {
+    uint32_t expect = static_cast<uint32_t>(hash - 7);
+    for (uint32_t id = table.First(hash); id != KeyHashTable::kEnd;
+         id = table.Next(id)) {
+      EXPECT_EQ(id, expect);
+      expect += 100;
+    }
+    EXPECT_EQ(expect, hash - 7 + 300);
+  }
+  EXPECT_EQ(table.First(1000), KeyHashTable::kEnd);
 }
 
 // --- secondary index maintenance -------------------------------------------
@@ -204,6 +260,103 @@ TEST_F(PlansTest, JoinWithResidualConjunct) {
       db_,
       "SELECT e.name FROM emp e JOIN dept d "
       "ON e.dept = d.id AND e.salary > 70 ORDER BY e.id");
+}
+
+// Runs `sql` through ExpectDifferentialMatch in both executors, and
+// expects the optimized run to take the hash join. No ORDER BY: the
+// hash join must emit the nested loop's pair order by itself.
+void ExpectHashJoinMatchesNestedLoop(Database& db, const std::string& sql) {
+  for (bool batch : {false, true}) {
+    db.set_batch_enabled(batch);
+    uint64_t hash = CounterValue("sql.plan.hash_join");
+    ExpectDifferentialMatch(db, sql);
+    EXPECT_GT(CounterValue("sql.plan.hash_join"), hash)
+        << (batch ? "batch: " : "row: ") << sql;
+  }
+  db.set_batch_enabled(true);
+}
+
+class JoinOrderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Duplicate keys on both sides, so the candidates of one left row
+    // come from several right rows and their order is visible. `few`
+    // has 3 rows and `many` 8: either may be the build side.
+    ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      CREATE TABLE few (id INTEGER PRIMARY KEY, k INTEGER, j INTEGER);
+      CREATE TABLE many (id INTEGER PRIMARY KEY, k INTEGER, j INTEGER);
+      INSERT INTO few VALUES (1, 2, 1), (2, 1, NULL), (3, 2, 2);
+      INSERT INTO many VALUES (1, 1, 1), (2, 2, 2), (3, 1, NULL),
+                              (4, 2, 1), (5, NULL, 1), (6, 2, 2),
+                              (7, 3, 3), (8, 1, 1);
+      CREATE TABLE ki (id INTEGER PRIMARY KEY, k INTEGER);
+      CREATE TABLE kd (id INTEGER PRIMARY KEY, k DOUBLE);
+      CREATE TABLE ks (id INTEGER PRIMARY KEY, k VARCHAR(10));
+      INSERT INTO ki VALUES (1, 1), (2, 0), (3, 2), (4, 1);
+      INSERT INTO kd VALUES (1, 1.0), (2, -0.0), (3, 2.5), (4, 1.0);
+      INSERT INTO ks VALUES (1, '1'), (2, '1.0'), (3, '-0'), (4, '2.50'),
+                            (5, ' 2'), (6, '0');
+    )sql")
+                    .ok());
+  }
+
+  Database db_{"join_order"};
+};
+
+TEST_F(JoinOrderTest, InnerJoinBuildLeftAndBuildRight) {
+  ExpectHashJoinMatchesNestedLoop(
+      db_, "SELECT f.id, m.id FROM few f JOIN many m ON f.k = m.k");
+  ExpectHashJoinMatchesNestedLoop(
+      db_, "SELECT m.id, f.id FROM many m JOIN few f ON m.k = f.k");
+}
+
+TEST_F(JoinOrderTest, LeftOuterJoinBuildLeftAndBuildRight) {
+  ExpectHashJoinMatchesNestedLoop(
+      db_, "SELECT f.id, m.id FROM few f LEFT JOIN many m ON f.j = m.j");
+  ExpectHashJoinMatchesNestedLoop(
+      db_, "SELECT m.id, f.id FROM many m LEFT JOIN few f ON m.k = f.k");
+}
+
+TEST_F(JoinOrderTest, TwoColumnKeysWithNullParts) {
+  for (const char* join : {"JOIN", "LEFT JOIN"}) {
+    ExpectHashJoinMatchesNestedLoop(
+        db_, std::string("SELECT f.id, m.id FROM few f ") + join +
+                 " many m ON f.k = m.k AND f.j = m.j");
+    ExpectHashJoinMatchesNestedLoop(
+        db_, std::string("SELECT m.id, f.id FROM many m ") + join +
+                 " few f ON m.j = f.j AND m.k = f.k");
+  }
+}
+
+TEST_F(JoinOrderTest, IntegerDoubleAndNumericStringKeys) {
+  const char* tables[] = {"ki", "kd", "ks"};
+  for (const char* a : tables) {
+    for (const char* b : tables) {
+      for (const char* join : {"JOIN", "LEFT JOIN"}) {
+        ExpectHashJoinMatchesNestedLoop(
+            db_, std::string("SELECT a.id, b.id FROM ") + a + " a " + join +
+                     " " + b + " b ON a.k = b.k");
+      }
+    }
+  }
+}
+
+TEST_F(JoinOrderTest, KeysEqualAsDoublesOnlyMatchThemselves) {
+  // 2^53 and 2^53+1 are one double, so their join hashes collide; only
+  // the ON re-check, which compares INTEGERs exactly, tells them apart.
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER);
+    INSERT INTO big VALUES (1, 9007199254740992), (2, 9007199254740993);
+  )sql")
+                  .ok());
+  ExpectHashJoinMatchesNestedLoop(
+      db_, "SELECT a.id, b.id FROM big a JOIN big b ON a.k = b.k");
+  auto rs = db_.Execute("SELECT a.id, b.id FROM big a JOIN big b "
+                        "ON a.k = b.k");
+  ASSERT_TRUE(rs.ok());
+  ASSERT_EQ(rs->row_count(), 2u);
+  EXPECT_EQ(rs->rows()[0][1], Value::Integer(1));
+  EXPECT_EQ(rs->rows()[1][1], Value::Integer(2));
 }
 
 TEST_F(PlansTest, NonEquiJoinFallsBackToNestedLoop) {

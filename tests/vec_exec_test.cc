@@ -337,6 +337,39 @@ TEST_F(VecExecSqlTest, LeftJoinPadsUnmatchedGroupsAcrossWindows) {
                         "ON e.g = r.g GROUP BY r.label");
 }
 
+TEST_F(VecExecSqlTest, HashJoinKeepsNestedLoopOrderPastOneWindow) {
+  // Each join yields more than kBatchCapacity candidate pairs, so pair
+  // windows flush mid-join. The batch hash join (build left, then build
+  // right) must emit exactly the row-path nested loop's rows, in order.
+  const char* queries[] = {
+      "SELECT r.id, e.id FROM ref r JOIN ev e ON r.g = e.g",
+      "SELECT e.id, r.id FROM ev e JOIN ref r ON e.g = r.g",
+      "SELECT e.id, r.id FROM ev e LEFT JOIN ref r ON e.g = r.g",
+      "SELECT r.id, e.id FROM ref r LEFT JOIN ev e "
+      "ON r.g = e.g AND r.id = e.g",
+  };
+  for (const char* sql : queries) {
+    db_->set_optimizer_enabled(false);
+    db_->set_batch_enabled(false);
+    auto loop = db_->Execute(sql);
+    db_->set_optimizer_enabled(true);
+    db_->set_batch_enabled(true);
+    const uint64_t joins = obs::MetricsRegistry::Global()
+                               .GetCounter("sql.plan.hash_join")
+                               .value();
+    auto batch = db_->Execute(sql);
+    ASSERT_TRUE(loop.ok() && batch.ok()) << sql;
+    EXPECT_GT(batch->row_count(), kBatchCapacity) << sql;
+    EXPECT_GT(obs::MetricsRegistry::Global()
+                  .GetCounter("sql.plan.hash_join")
+                  .value(),
+              joins)
+        << sql;
+    EXPECT_EQ(Canon(batch, /*ordered=*/true), Canon(loop, /*ordered=*/true))
+        << sql;
+  }
+}
+
 TEST_F(VecExecSqlTest, MixedTypeColumnFallsBackWithoutDivergence) {
   // A window whose expression mixes int and double must bail to the
   // scalar path mid-pipeline and still agree with the row executor.

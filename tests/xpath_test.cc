@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "xml/parser.h"
 #include "xpath/evaluator.h"
@@ -233,9 +235,11 @@ TEST_F(XPathTest, PathOverScalarIsTypeError) {
   EXPECT_FALSE(EvaluateXPath("$x/Row", doc_, env_).ok());
 }
 
-// Parameterized: Row[k]/ItemID values across the whole document.
+// Parameterized: Row[k]/ItemID values across the whole document. The
+// expected value is a std::string so the discovered test names print it
+// by value, not as a pointer that changes from run to run.
 class RowIndexTest
-    : public ::testing::TestWithParam<std::pair<int, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<int, std::string>> {};
 
 TEST_P(RowIndexTest, IndexedAccess) {
   auto doc = xml::Parse(
@@ -249,11 +253,12 @@ TEST_P(RowIndexTest, IndexedAccess) {
   EXPECT_EQ(v->ToStringValue(), expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, RowIndexTest,
-                         ::testing::Values(std::make_pair(1, "10"),
-                                           std::make_pair(2, "20"),
-                                           std::make_pair(3, "30"),
-                                           std::make_pair(4, "40")));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, RowIndexTest,
+    ::testing::Values(std::make_pair(1, std::string("10")),
+                      std::make_pair(2, std::string("20")),
+                      std::make_pair(3, std::string("30")),
+                      std::make_pair(4, std::string("40"))));
 
 }  // namespace
 }  // namespace sqlflow::xpath
