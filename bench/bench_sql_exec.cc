@@ -1,16 +1,13 @@
-// Batch-vs-row executor ablation over a 1M-row audit-events-shaped
-// table: scan-heavy GROUP BY aggregate (the headline — the columnar
-// pipeline targets >=10x here), a selective full-scan filter, a
-// join-aggregate rollup to the instances dimension, and the
-// process-mining directly-follows self-join. Every workload runs with
-// the batch pipeline off (row-at-a-time interpreter) and on (vectorized
-// windows); the plan and data are otherwise identical.
+// SELECT pipeline throughput over a 1M-row audit-events-shaped table:
+// a scan-heavy global aggregate, a grouped aggregate, a selective
+// full-scan filter, a join-aggregate rollup to the instances dimension,
+// and the process-mining directly-follows self-join, each through the
+// columnar pipeline that runs every SELECT.
 //
-// Writes BENCH_sql_exec.json (row-vs-batch speedups per workload, plus
-// evidence that the sql.plan.batch counter actually grew — i.e. the
-// vectorized path ran rather than silently falling back) on a full run;
-// `--quick` shrinks the table 50x and runs a smoke pass with minimal
-// iteration counts, skipping the JSON.
+// Writes BENCH_sql_exec.json (ns/op per workload, plus evidence that
+// the sql.plan.batch counter grew) on a full run; `--quick` shrinks the
+// table 50x and runs a smoke pass with minimal iteration counts,
+// skipping the JSON.
 
 #include <cstring>
 #include <fstream>
@@ -82,8 +79,7 @@ std::unique_ptr<Database> MakeDb(int rows) {
 }
 
 // The 1M-row fixture takes seconds to seed; benchmarks share one
-// instance per size (single-threaded — per-run state is only the
-// batch_enabled toggle).
+// instance per size (single-threaded, read-only after seeding).
 Database& SharedDb(int rows) {
   static std::map<int, std::unique_ptr<Database>> dbs;
   auto it = dbs.find(rows);
@@ -100,21 +96,18 @@ int EffectiveRows(benchmark::State& state) {
 
 void RunQuery(benchmark::State& state, const char* sql, const char* label) {
   Database& db = SharedDb(EffectiveRows(state));
-  const bool batch = state.range(1) != 0;
-  db.set_batch_enabled(batch);
   for (auto _ : state) {
     auto rs = db.Execute(sql);
     bench::CheckOk(rs.status(), label);
     benchmark::DoNotOptimize(rs->row_count());
   }
-  db.set_batch_enabled(true);
-  state.SetLabel(std::string(label) + (batch ? "/batch" : "/row"));
+  state.SetLabel(label);
   state.SetItemsProcessed(state.iterations() * EffectiveRows(state));
 }
 
 // Scan-heavy global aggregate: every row feeds the accumulators, no
 // grouping hash in the way. The purest measure of per-row dispatch
-// cost — this is the >=10x headline workload.
+// cost.
 const char* kScanAggQuery =
     "SELECT COUNT(*), SUM(duration_ms), AVG(duration_ms), "
     "MIN(duration_ms), MAX(duration_ms) FROM audit_events";
@@ -123,15 +116,13 @@ void BM_ScanAggregate(benchmark::State& state) {
   RunQuery(state, kScanAggQuery, "scan_aggregate");
 }
 BENCHMARK(BM_ScanAggregate)
-    ->ArgNames({"rows", "batch"})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1})
+    ->ArgNames({"rows"})
+    ->Args({100000})
+    ->Args({1000000})
     ->Unit(benchmark::kMillisecond);
 
 // Grouped variant: same scan, but every row also probes the grouping
-// hash on a string key — the speedup compresses toward the hash cost.
+// hash on a string key.
 const char* kGroupAggQuery =
     "SELECT status, COUNT(*), SUM(duration_ms), AVG(duration_ms) "
     "FROM audit_events GROUP BY status";
@@ -140,9 +131,8 @@ void BM_GroupAggregate(benchmark::State& state) {
   RunQuery(state, kGroupAggQuery, "group_aggregate");
 }
 BENCHMARK(BM_GroupAggregate)
-    ->ArgNames({"rows", "batch"})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1})
+    ->ArgNames({"rows"})
+    ->Args({1000000})
     ->Unit(benchmark::kMillisecond);
 
 // Selective filter over an unindexed column: ~2% survive, so the cost
@@ -155,9 +145,8 @@ void BM_SelectiveFilter(benchmark::State& state) {
   RunQuery(state, kFilterQuery, "selective_filter");
 }
 BENCHMARK(BM_SelectiveFilter)
-    ->ArgNames({"rows", "batch"})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1})
+    ->ArgNames({"rows"})
+    ->Args({1000000})
     ->Unit(benchmark::kMillisecond);
 
 // Join-aggregate: roll events up to the workflow dimension through the
@@ -171,9 +160,8 @@ void BM_JoinAggregate(benchmark::State& state) {
   RunQuery(state, kJoinAggQuery, "join_aggregate");
 }
 BENCHMARK(BM_JoinAggregate)
-    ->ArgNames({"rows", "batch"})
-    ->Args({200000, 0})
-    ->Args({200000, 1})
+    ->ArgNames({"rows"})
+    ->Args({200000})
     ->Unit(benchmark::kMillisecond);
 
 // Directly-follows relation (process mining over the audit trail): for
@@ -189,13 +177,12 @@ void BM_DirectlyFollows(benchmark::State& state) {
   RunQuery(state, kDirectlyFollowsQuery, "directly_follows");
 }
 BENCHMARK(BM_DirectlyFollows)
-    ->ArgNames({"rows", "batch"})
-    ->Args({200000, 0})
-    ->Args({200000, 1})
+    ->ArgNames({"rows"})
+    ->Args({200000})
     ->Unit(benchmark::kMillisecond);
 
 /// Console reporter that also captures per-run ns/op so main() can emit
-/// the row-vs-batch speedup summary as JSON.
+/// the summary as JSON.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -221,12 +208,10 @@ uint64_t BatchCounter() {
   return obs::MetricsRegistry::Global().GetCounter("sql.plan.batch").value();
 }
 
-// Proves the measurements above actually exercised the vectorized
-// pipeline: one batch-enabled execution must bump sql.plan.batch, or
-// every "batch" number in the JSON would silently be the row path.
+// Proves the measurements above ran the columnar pipeline: one
+// execution must bump sql.plan.batch.
 void CheckBatchPathTaken() {
   Database& db = SharedDb(g_quick ? 100000 / 50 : 100000);
-  db.set_batch_enabled(true);
   uint64_t before = BatchCounter();
   bench::CheckOk(db.Execute(kScanAggQuery).status(), "batch evidence");
   if (BatchCounter() <= before) {
@@ -250,31 +235,23 @@ void WriteJson(const CapturingReporter& reporter, const char* path) {
       {"BM_JoinAggregate", "join_aggregate", {200000}},
       {"BM_DirectlyFollows", "directly_follows", {200000}},
   };
-  auto run_name = [](const char* bm, int rows, int batch) {
-    return std::string(bm) + "/rows:" + std::to_string(rows) +
-           "/batch:" + std::to_string(batch);
-  };
   std::ofstream out(path);
-  out << "{\n  \"bench\": \"sql_exec\",\n  \"comparisons\": [\n";
+  out << "{\n  \"bench\": \"sql_exec\",\n  \"results\": [\n";
   bool first = true;
   for (const Workload& w : workloads) {
     for (int rows : w.sizes) {
-      double row = reporter.NsPerOp(run_name(w.bm, rows, 0));
-      double batch = reporter.NsPerOp(run_name(w.bm, rows, 1));
-      if (row == 0.0 || batch == 0.0) continue;
+      double ns = reporter.NsPerOp(std::string(w.bm) + "/rows:" +
+                                   std::to_string(rows));
+      if (ns == 0.0) continue;
       if (!first) out << ",\n";
       first = false;
       out << "    {\"workload\": \"" << w.name << "\", \"rows\": " << rows
-          << ", \"row_ns_per_op\": " << row
-          << ", \"batch_ns_per_op\": " << batch
-          << ", \"speedup\": " << row / batch << "}";
+          << ", \"ns_per_op\": " << ns << "}";
     }
   }
   out << "\n  ],\n"
       << "  \"batch_evidence\": {\"counter\": \"sql.plan.batch\", "
-      << "\"grew\": true},\n"
-      << "  \"target\": {\"workload\": \"scan_aggregate\", \"rows\": "
-      << 1000000 << ", \"min_speedup\": 10.0}\n}\n";
+      << "\"grew\": true}\n}\n";
   std::printf("wrote %s\n", path);
 }
 
@@ -296,11 +273,10 @@ int main(int argc, char** argv) {
   int adjusted_argc = static_cast<int>(args.size());
 
   sqlflow::bench::PrintBanner(
-      "SQL batch executor — columnar scan/filter/join/aggregate pipeline",
-      "row-at-a-time interpretation pays per-row dispatch on every "
-      "expression; 1024-row vectorized windows amortize it (>=10x on the "
-      "1M-row scan-heavy aggregate), with the audit-trail directly-"
-      "follows rollup riding the same pipeline");
+      "SQL SELECT pipeline — columnar scan/filter/join/aggregate",
+      "1024-row vectorized windows amortize per-row dispatch across "
+      "scan, filter, join and aggregate stages, with the audit-trail "
+      "directly-follows rollup riding the same pipeline");
   benchmark::Initialize(&adjusted_argc, args.data());
   sqlflow::CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -29,16 +29,17 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # The optimizer differential battery (index/hash-join/plan-cache paths
   # exercise raw slot bookkeeping — worth the sanitized pass), plus the
   # typed key hash table: join-key hashing, join pair order for both
-  # build sides, and group identity in both executors.
+  # build sides, group identity with the optimizer on and off, and the
+  # per-group evaluation of observable aggregate arguments.
   ./build-asan/tests/sqlflow_sql_tests \
-    --gtest_filter='PlansTest.*:LookupKeyTest.*:JoinOrderTest.*:*GroupKey*'
+    --gtest_filter='PlansTest.*:LookupKeyTest.*:JoinOrderTest.*:*GroupKey*:ObservableAggregateTest.*'
   # Range/boundary semantics + the index-consistency property battery,
   # then the 600-query differential fuzzer (ordered-map slot vectors get
   # spliced on every DML — exactly the code ASan should watch).
   ./build-asan/tests/sqlflow_sql_range_tests
-  # Four-way differential fuzzer (optimizer × batch) — the vectorized
-  # pipeline borrows row storage and string pointers in place, so the
-  # 600-query battery runs sanitized in all four configurations.
+  # Differential fuzzer (optimizer on and off, against the reference
+  # evaluator) — the vectorized pipeline borrows row storage and string
+  # pointers in place, so the 600-query battery runs sanitized.
   ./build-asan/tests/sqlflow_sql_fuzz_tests
   # Columnar batch primitives and window-boundary differentials: null
   # bitmaps, selection compaction, kNullSlot padded reads — raw index
@@ -83,6 +84,8 @@ fi
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== TSan: sanitized build + mvcc/conc/chaos/fuzz suites =="
+  # Any data race fails the section at its first report.
+  export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
   cmake -B build-tsan -S . -DSQLFLOW_SANITIZE=thread
   cmake --build build-tsan -j --target sqlflow_mvcc_tests \
     sqlflow_concurrency_tests sqlflow_chaos_tests sqlflow_sql_fuzz_tests \

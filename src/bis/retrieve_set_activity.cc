@@ -3,7 +3,6 @@
 #include "bis/set_reference.h"
 #include "bis/sql_activity.h"
 #include "rowset/xml_rowset.h"
-#include "sql/table.h"
 
 namespace sqlflow::bis {
 
@@ -17,12 +16,12 @@ Status RetrieveSetActivity::Execute(wfc::ProcessContext& ctx) {
   SQLFLOW_ASSIGN_OR_RETURN(
       SetReferencePtr ref,
       ctx.variables().GetObjectAs<SetReference>(config_.set_reference));
-  SQLFLOW_ASSIGN_OR_RETURN(sql::Table * table,
-                           db->catalog().GetTable(ref->table_name()));
-
-  sql::ResultSet result = table->Scan();
-  db->MutableStats()->rows_read += result.row_count();
-  db->MutableStats()->bytes_materialized += result.ApproxByteSize();
+  // Read through the statement path, not the catalog: the read then
+  // holds the shared statement latch against concurrent lifecycle DDL
+  // and sees this connection's snapshot, not other transactions'
+  // pending rows. The lifecycle DDL splices the same name into SQL.
+  SQLFLOW_ASSIGN_OR_RETURN(sql::ResultSet result,
+                           db->Execute("SELECT * FROM " + ref->table_name()));
 
   xml::NodePtr rowset = rowset::ToRowSet(result);
   ctx.variables().Set(config_.set_variable,

@@ -17,9 +17,9 @@ namespace sqlflow::sql {
 // windows. Within a window each expression evaluates to one VecCol: a
 // typed value vector plus a packed null bitmap. A column whose window
 // values are not uniformly typed (or whose evaluation could raise an
-// error the row-at-a-time interpreter would have raised) is marked kBail,
-// and the whole window re-evaluates through the scalar EvaluateExpr path
-// — semantics never fork, vectorization only accelerates.
+// error or have a side effect) is marked kBail, and the whole window
+// re-evaluates through the scalar EvaluateExpr path — semantics never
+// fork, vectorization only accelerates.
 
 /// Rows per execution window. Large enough to amortize dispatch, small
 /// enough that a window of doubles + bitmap stays L1/L2-resident.

@@ -258,17 +258,12 @@ void Database::Stats::CopyFrom(const Stats& other) {
 }
 
 Database::Database(std::string name)
-    : shared_(std::make_shared<SharedState>(std::move(name))),
-      optimizer_enabled_(OptimizerDefaultFlag()),
-      batch_enabled_(BatchDefaultFlag()) {
+    : shared_(std::make_shared<SharedState>(std::move(name))) {
   shared_->retry_policy = RetryPolicyDefaultRef();
 }
 
-Database::Database(std::shared_ptr<SharedState> shared, bool optimizer_on,
-                   bool batch_on)
-    : shared_(std::move(shared)),
-      optimizer_enabled_(optimizer_on),
-      batch_enabled_(batch_on) {
+Database::Database(std::shared_ptr<SharedState> shared, bool optimizer_on)
+    : shared_(std::move(shared)), optimizer_enabled_(optimizer_on) {
   // Durable databases build redo records from undo post-images, so
   // every connection's undo log must capture them.
   if (shared_->wal != nullptr) undo_log_.set_capture_rows(true);
@@ -289,7 +284,7 @@ Database::~Database() {
 std::shared_ptr<Database> Database::CreateConnection() {
   shared_->concurrent.store(true, std::memory_order_release);
   return std::shared_ptr<Database>(
-      new Database(shared_, optimizer_enabled_, batch_enabled_));
+      new Database(shared_, optimizer_enabled_));
 }
 
 uint64_t Database::SnapshotTs() const {
@@ -303,24 +298,6 @@ uint64_t Database::ReaderTxnId() const {
 bool Database::NeedsSnapshotRead(const Table& table) const {
   if (!concurrent_mode()) return false;
   return table.NeedsSnapshot(ReaderTxnId(), SnapshotTs());
-}
-
-bool& Database::OptimizerDefaultFlag() {
-  static bool enabled = true;
-  return enabled;
-}
-
-void Database::SetOptimizerDefault(bool on) {
-  OptimizerDefaultFlag() = on;
-}
-
-bool& Database::BatchDefaultFlag() {
-  static bool enabled = true;
-  return enabled;
-}
-
-void Database::SetBatchDefault(bool on) {
-  BatchDefaultFlag() = on;
 }
 
 RetryPolicy& Database::RetryPolicyDefaultRef() {

@@ -183,7 +183,7 @@ class Database {
   /// Whether scans of `table` must go through Table::SnapshotRows
   /// instead of the raw row vector: only in concurrent mode, and only
   /// when the table actually carries version state a raw scan would
-  /// misread. Index/batch fast paths stay engaged otherwise.
+  /// misread. Index lookups and pushdown stay engaged otherwise.
   bool NeedsSnapshotRead(const Table& table) const;
   MvccManager& mvcc() { return shared_->mvcc; }
   const MvccManager& mvcc() const { return shared_->mvcc; }
@@ -269,18 +269,6 @@ class Database {
   /// scan-baseline benches.
   bool optimizer_enabled() const { return optimizer_enabled_; }
   void set_optimizer_enabled(bool on) { optimizer_enabled_ = on; }
-  /// Process-wide default for newly constructed databases, so whole
-  /// fixtures can be re-run un-optimized without threading a flag.
-  static void SetOptimizerDefault(bool on);
-
-  /// When enabled (the default), eligible SELECT cores run the columnar
-  /// batch pipeline (vec_exec.cc); disabling forces the row-at-a-time
-  /// interpreter everywhere. The differential fuzzer toggles this to
-  /// prove the two paths byte-identical.
-  bool batch_enabled() const { return batch_enabled_; }
-  void set_batch_enabled(bool on) { batch_enabled_ = on; }
-  /// Process-wide default for newly constructed databases.
-  static void SetBatchDefault(bool on);
 
   /// Monotonic counter bumped by any DDL (and by rollback, which can
   /// undo DDL); memoized StatementPlans stamped with an older epoch are
@@ -430,12 +418,9 @@ class Database {
   };
 
   /// Connection constructor: shares `shared`, inherits the creating
-  /// connection's optimizer/batch toggles.
-  Database(std::shared_ptr<SharedState> shared, bool optimizer_on,
-           bool batch_on);
+  /// connection's optimizer toggle.
+  Database(std::shared_ptr<SharedState> shared, bool optimizer_on);
 
-  static bool& OptimizerDefaultFlag();
-  static bool& BatchDefaultFlag();
   static RetryPolicy& RetryPolicyDefaultRef();
   static std::shared_ptr<FaultInjector>& GlobalFaultInjectorRef();
   void EvictPlanCacheOverflow();  // caller holds plan_cache_mutex_
@@ -525,8 +510,7 @@ class Database {
   struct ExecProfile* exec_profile_ = nullptr;
   int view_expansion_depth_ = 0;
 
-  bool optimizer_enabled_;
-  bool batch_enabled_;
+  bool optimizer_enabled_ = true;
   unsigned plan_mask_ = 0;  // PlanChoice bits for the running statement
   size_t plan_cache_capacity_ = kDefaultPlanCacheCapacity;
   uint64_t plan_cache_tick_ = 0;

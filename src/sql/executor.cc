@@ -1,7 +1,6 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -65,11 +64,6 @@ class ScopeBinding : public RowBinding {
  private:
   const std::vector<ScopeColumn>* columns_;
   const Row* row_;
-};
-
-struct FromScope {
-  std::vector<ScopeColumn> columns;
-  std::vector<Row> rows;
 };
 
 }  // namespace
@@ -160,36 +154,6 @@ void CollectAggregateNodes(const Expr& e, std::vector<const Expr*>* out) {
   for (const ExprPtr& child : e.children) {
     CollectAggregateNodes(*child, out);
   }
-}
-
-/// Output-column name for a select item without an alias.
-std::string DeriveOutputColumnName(const Expr& e, size_t ordinal) {
-  if (e.kind == ExprKind::kColumnRef) return e.column_name;
-  if (e.kind == ExprKind::kFunctionCall) return e.function_name;
-  return "col" + std::to_string(ordinal + 1);
-}
-
-/// Computes one aggregate over the rows of a group.
-Result<Value> ComputeAggregate(const Expr& agg,
-                               const std::vector<const Row*>& group,
-                               const std::vector<ScopeColumn>& columns,
-                               const Params& params, Database* db) {
-  AggState st;
-  if (!AggregateTakesNoValues(agg)) {
-    ScopeBinding binding(&columns, nullptr);
-    EvalContext ctx;
-    ctx.binding = &binding;
-    ctx.params = &params;
-    ctx.database = db;
-    const AggKind kind = AggKindOf(agg.function_name);
-    for (const Row* row : group) {
-      binding.set_row(row);
-      SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*agg.children[0], ctx));
-      FeedValue(&st, kind, agg.distinct_arg, v);
-      if (st.failed) break;
-    }
-  }
-  return FinishAggregate(agg, st, static_cast<int64_t>(group.size()));
 }
 
 }  // namespace
@@ -373,20 +337,6 @@ std::optional<Executor::ResolvedAccess> Executor::ResolveCandidates(
   return std::nullopt;
 }
 
-bool Executor::TryPushdown(Table* table, const std::string& qual,
-                           const SelectStatement& sel, size_t ref_index,
-                           const Params& params,
-                           std::vector<Row>* out_rows) {
-  std::vector<size_t> slots;
-  if (!TryPushdownSlots(table, qual, sel, ref_index, params, &slots)) {
-    return false;
-  }
-  out_rows->clear();
-  out_rows->reserve(slots.size());
-  for (size_t slot : slots) out_rows->push_back(table->rows()[slot]);
-  return true;
-}
-
 bool Executor::TryPushdownSlots(Table* table, const std::string& qual,
                                 const SelectStatement& sel,
                                 size_t ref_index, const Params& params,
@@ -489,364 +439,6 @@ bool Executor::TryPushdownSlots(Table* table, const std::string& qual,
   }
   *out_slots = std::move(kept);
   return true;
-}
-
-namespace {
-
-/// Whether any base table in the FROM clause carries MVCC version
-/// state this connection's snapshot must filter. Derived tables and
-/// views re-enter the executor and gate themselves.
-bool AnyFromTableNeedsSnapshot(Database* db, const SelectStatement& sel) {
-  if (!db->concurrent_mode()) return false;
-  for (const TableRef& ref : sel.from) {
-    if (ref.table_name.empty()) continue;
-    Table* table = db->catalog().FindTable(ref.table_name);
-    if (table != nullptr && db->NeedsSnapshotRead(*table)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-Result<ResultSet> Executor::ExecuteSelectCore(const SelectStatement& sel,
-                                              const Params& params,
-                                              const StatementPlan* plan) {
-  // Plan-selected execution mode: the memoized plan records the batch
-  // decision; unplanned cores (union branches, subqueries) decide
-  // inline. PlanBatchMode is structural, so EXPLAIN renders the same
-  // choice without executing. Snapshot-filtered scans force the row
-  // interpreter: the batch pipeline loads raw column slots.
-  if (db_->batch_enabled() && !AnyFromTableNeedsSnapshot(db_, sel) &&
-      (plan != nullptr ? plan->use_batch : PlanBatchMode(sel))) {
-    return ExecuteSelectCoreBatch(sel, params, plan);
-  }
-  return ExecuteSelectCoreRow(sel, params, plan);
-}
-
-Result<ResultSet> Executor::ExecuteSelectCoreRow(const SelectStatement& sel,
-                                                 const Params& params,
-                                                 const StatementPlan* plan) {
-  // 1. Build the FROM scope (joins in declaration order). Each reference
-  // resolves to either a base table or a view (whose defining SELECT is
-  // executed inline). Equi-joins run as build/probe hash joins; other
-  // joins nested-loop.
-  FromScope scope;
-  ExecProfile* prof = db_->exec_profile();
-  bool first_ref = true;
-  // Set when a single-base-table scope comes back in the order its
-  // ORDER BY asks for (index traversal); step 6 then skips the sort.
-  bool order_by_presorted = false;
-  for (size_t ref_index = 0; ref_index < sel.from.size(); ++ref_index) {
-    const TableRef& ref = sel.from[ref_index];
-    const std::string& qual =
-        ref.alias.empty() ? ref.table_name : ref.alias;
-    std::vector<ScopeColumn> right_cols;
-    std::vector<Row> right_rows;
-    Table* table = ref.derived == nullptr
-                       ? db_->catalog().FindTable(ref.table_name)
-                       : nullptr;
-    if (table == nullptr) {
-      SQLFLOW_RETURN_IF_ERROR(
-          ExecuteSubqueryRef(ref, qual, params, &right_cols, &right_rows));
-    } else {
-      for (const ColumnDef& col : table->schema().columns()) {
-        right_cols.push_back({qual, col.name});
-      }
-      if (db_->NeedsSnapshotRead(*table)) {
-        // Version state is live on this table: materialize exactly the
-        // rows this connection's snapshot admits — other transactions'
-        // pending writes hidden, later commits hidden, own writes and
-        // stashed pre-images resolved. Index lookups and pushdown read
-        // raw row slots, so they disengage for this reference.
-        right_rows =
-            table->SnapshotRows(db_->ReaderTxnId(), db_->SnapshotTs());
-        obs::MetricsRegistry::Global()
-            .GetCounter("sql.mvcc.snapshot_scan")
-            .Increment();
-        if (first_ref) db_->NotePlanChoice(PlanChoice::kScan);
-        if (prof != nullptr) {
-          ExecProfileOp& op =
-              prof->Add("SNAPSHOT", table->schema().table_name());
-          op.rows_in = table->row_count();
-          op.rows_out = right_rows.size();
-          op.loops = 1;
-        }
-      } else {
-        // A single-base-table SELECT can satisfy sargable WHERE
-        // conjuncts through an index instead of materializing the whole
-        // table (and satisfy its ORDER BY through index order). The
-        // full WHERE still runs over the candidates below, so
-        // collisions and residual conjuncts are re-checked. Base tables
-        // joined to others instead get their single-table conjuncts
-        // pushed below the join.
-        std::optional<ResolvedAccess> resolved;
-        bool pushed = false;
-        if (first_ref && sel.from.size() == 1) {
-          std::vector<size_t> order_cols;
-          bool order_desc = false;
-          bool have_order = OrderBySargColumns(sel, qual, table->schema(),
-                                               &order_cols, &order_desc);
-          resolved = ResolveCandidates(table, qual, sel.where.get(), plan,
-                                       params,
-                                       have_order ? &order_cols : nullptr,
-                                       order_desc);
-          if (resolved.has_value() && resolved->key_ordered) {
-            order_by_presorted = true;
-          }
-        } else if (TryPushdown(table, qual, sel, ref_index, params,
-                               &right_rows)) {
-          pushed = true;
-        } else if (first_ref) {
-          db_->NotePlanChoice(PlanChoice::kScan);
-        }
-        if (resolved.has_value()) {
-          right_rows.reserve(resolved->slots.size());
-          for (size_t slot : resolved->slots) {
-            right_rows.push_back(table->rows()[slot]);
-          }
-        } else if (!pushed) {
-          right_rows = table->rows();
-          // The single-table path records its access op (including a
-          // scan) inside ResolveCandidates; joined refs that neither
-          // pushed nor resolved record their scan here.
-          if (prof != nullptr && !(first_ref && sel.from.size() == 1)) {
-            ExecProfileOp& op =
-                prof->Add("SCAN", table->schema().table_name());
-            op.rows_in = op.rows_out = right_rows.size();
-            op.loops = 1;
-          }
-        }
-      }
-    }
-    db_->MutableStats()->rows_read += right_rows.size();
-    if (first_ref) {
-      scope.columns = right_cols;
-      scope.rows = std::move(right_rows);
-      first_ref = false;
-      continue;
-    }
-    std::vector<ScopeColumn> combined_cols = scope.columns;
-    combined_cols.insert(combined_cols.end(), right_cols.begin(),
-                         right_cols.end());
-    const size_t left_width = scope.columns.size();
-    std::vector<Row> combined_rows;
-    Row probe;
-    ScopeBinding binding(&combined_cols, &probe);
-    EvalContext ctx;
-    ctx.binding = &binding;
-    ctx.params = &params;
-    ctx.database = db_;
-
-    // Extract equality conjuncts joining a left-scope column to a
-    // right-side column; if any exist (and no key pairing could change
-    // error behavior versus the nested loop), build/probe hash join.
-    const int64_t join_start = prof != nullptr ? obs::NowNanos() : 0;
-    const size_t join_rows_in = scope.rows.size() + right_rows.size();
-    std::vector<std::pair<size_t, size_t>> key_pairs;
-    bool hash_join = db_->optimizer_enabled() &&
-                     ref.join_condition != nullptr &&
-                     (ref.join_type == JoinType::kInner ||
-                      ref.join_type == JoinType::kLeftOuter);
-    if (hash_join) {
-      key_pairs = ExtractEquiJoinKeys(*ref.join_condition, combined_cols,
-                                      left_width);
-      hash_join = !key_pairs.empty();
-    }
-    std::optional<JoinCandidates> candidates;
-    if (hash_join) {
-      candidates.emplace(
-          scope.rows.size(), right_rows.size(), key_pairs.size(),
-          [&](size_t r, size_t k) -> const Value& {
-            return scope.rows[r][key_pairs[k].first];
-          },
-          [&](size_t r, size_t k) -> const Value& {
-            return right_rows[r][key_pairs[k].second];
-          });
-      hash_join = candidates->comparable();
-    }
-
-    if (hash_join) {
-      db_->NotePlanChoice(PlanChoice::kHashJoin);
-      for (size_t li = 0; li < scope.rows.size(); ++li) {
-        const Row& left = scope.rows[li];
-        bool matched = false;
-        // The full ON clause re-runs per candidate: key collisions and
-        // residual conjuncts filter here.
-        SQLFLOW_RETURN_IF_ERROR(candidates->ForEach(li, [&](size_t ri) {
-          probe = left;
-          probe.insert(probe.end(), right_rows[ri].begin(),
-                       right_rows[ri].end());
-          Result<Value> cond = EvaluateExpr(*ref.join_condition, ctx);
-          if (!cond.ok()) return cond.status();
-          if (IsTrue(*cond)) {
-            matched = true;
-            combined_rows.push_back(probe);
-          }
-          return Status::OK();
-        }));
-        if (!matched && ref.join_type == JoinType::kLeftOuter) {
-          Row padded = left;
-          padded.resize(combined_cols.size(), Value::Null());
-          combined_rows.push_back(std::move(padded));
-        }
-      }
-    } else {
-      if (ref.join_condition != nullptr) {
-        db_->NotePlanChoice(PlanChoice::kScan);
-      }
-      for (const Row& left : scope.rows) {
-        bool matched = false;
-        for (const Row& right : right_rows) {
-          probe = left;
-          probe.insert(probe.end(), right.begin(), right.end());
-          bool keep = true;
-          if (ref.join_condition != nullptr) {
-            SQLFLOW_ASSIGN_OR_RETURN(
-                Value cond, EvaluateExpr(*ref.join_condition, ctx));
-            keep = IsTrue(cond);
-          }
-          if (keep) {
-            matched = true;
-            combined_rows.push_back(probe);
-          }
-        }
-        if (!matched && ref.join_type == JoinType::kLeftOuter) {
-          Row padded = left;
-          padded.resize(combined_cols.size(), Value::Null());
-          combined_rows.push_back(std::move(padded));
-        }
-      }
-    }
-    if (prof != nullptr) {
-      std::string op_name = hash_join ? "HASH JOIN" : "NESTED LOOP";
-      if (ref.join_type == JoinType::kLeftOuter) op_name += " LEFT OUTER";
-      ExecProfileOp& op = prof->Add(
-          std::move(op_name), ref.join_condition != nullptr
-                                  ? ref.join_condition->ToString()
-                                  : "cross");
-      op.rows_in = join_rows_in;
-      op.rows_out = combined_rows.size();
-      op.loops = 1;
-      op.elapsed_ns = obs::NowNanos() - join_start;
-    }
-    scope.columns = std::move(combined_cols);
-    scope.rows = std::move(combined_rows);
-  }
-
-  // SELECT without FROM: single empty row scope.
-  if (sel.from.empty()) {
-    scope.rows.push_back(Row{});
-  }
-
-  // 2. WHERE.
-  if (sel.where != nullptr) {
-    const int64_t filter_start = prof != nullptr ? obs::NowNanos() : 0;
-    const size_t filter_rows_in = scope.rows.size();
-    std::vector<Row> kept;
-    Row current;
-    ScopeBinding binding(&scope.columns, &current);
-    EvalContext ctx;
-    ctx.binding = &binding;
-    ctx.params = &params;
-    ctx.database = db_;
-    for (Row& row : scope.rows) {
-      current = std::move(row);
-      SQLFLOW_ASSIGN_OR_RETURN(Value cond, EvaluateExpr(*sel.where, ctx));
-      if (IsTrue(cond)) kept.push_back(std::move(current));
-    }
-    scope.rows = std::move(kept);
-    if (prof != nullptr) {
-      ExecProfileOp& op = prof->Add("FILTER", sel.where->ToString());
-      op.rows_in = filter_rows_in;
-      op.rows_out = scope.rows.size();
-      op.loops = 1;
-      op.elapsed_ns = obs::NowNanos() - filter_start;
-    }
-  }
-
-  // 3–4. Output columns; grouped or plain execution.
-  SQLFLOW_ASSIGN_OR_RETURN(SelectShape shape, ShapeSelect(sel, scope.columns));
-  const bool grouped = shape.grouped;
-  std::vector<SortableRow> produced;
-
-  const int64_t agg_start =
-      (prof != nullptr && grouped) ? obs::NowNanos() : 0;
-  if (grouped) {
-    // Partition rows into groups, in first-seen order.
-    std::vector<std::vector<const Row*>> groups;
-    if (sel.group_by.empty()) {
-      // Implicit single group over all rows (possibly empty).
-      groups.emplace_back();
-      for (const Row& row : scope.rows) groups[0].push_back(&row);
-    } else {
-      Row current;
-      ScopeBinding binding(&scope.columns, &current);
-      EvalContext ctx;
-      ctx.binding = &binding;
-      ctx.params = &params;
-      ctx.database = db_;
-      KeyHashTable group_index;
-      std::vector<Row> group_keys;
-      Row key_values;
-      for (const Row& row : scope.rows) {
-        current = row;
-        key_values.clear();
-        for (const ExprPtr& g : sel.group_by) {
-          SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*g, ctx));
-          key_values.push_back(std::move(v));
-        }
-        auto same = [&](uint32_t g) {
-          return GroupRowEqual(group_keys[g], key_values);
-        };
-        auto [g, inserted] = group_index.FindOrAdd(
-            GroupRowHash(key_values),
-            static_cast<uint32_t>(group_keys.size()), same);
-        if (inserted) {
-          group_keys.push_back(key_values);
-          groups.emplace_back();
-        }
-        groups[g].push_back(&row);
-      }
-    }
-
-    for (const std::vector<const Row*>& group : groups) {
-      // Representative row for evaluating group-by expressions in the
-      // select list. Empty implicit group has no representative; column
-      // references would be invalid SQL there anyway.
-      Row rep = group.empty() ? Row{} : *group[0];
-
-      std::map<const Expr*, Value> agg_values;
-      for (const Expr* agg : shape.aggs) {
-        SQLFLOW_ASSIGN_OR_RETURN(
-            Value v,
-            ComputeAggregate(*agg, group, scope.columns, params, db_));
-        agg_values[agg] = std::move(v);
-      }
-
-      ScopeBinding binding(&scope.columns, &rep);
-      SQLFLOW_RETURN_IF_ERROR(EmitGroup(
-          sel, shape, params, agg_values, group.empty() ? nullptr : &binding,
-          [&rep](size_t i) -> const Value& { return rep[i]; }, &produced));
-    }
-  } else {
-    Row current;
-    ScopeBinding binding(&scope.columns, &current);
-    EvalContext ctx;
-    ctx.binding = &binding;
-    ctx.params = &params;
-    ctx.database = db_;
-    for (Row& row : scope.rows) {
-      current = std::move(row);
-      SQLFLOW_RETURN_IF_ERROR(ProjectRow(
-          sel, shape, ctx, true,
-          [&current](size_t i) -> const Value& { return current[i]; },
-          &produced));
-    }
-  }
-  if (prof != nullptr && grouped) {
-    RecordAggregate(sel, scope.rows.size(), produced.size(), 0, agg_start);
-  }
-  return FinishSelect(sel, shape, order_by_presorted, std::move(produced));
 }
 
 Result<Executor::SelectShape> Executor::ShapeSelect(

@@ -18,14 +18,10 @@ namespace sqlflow::sql {
 class Database;
 class Table;
 
-// Helpers shared between the row-at-a-time interpreter (executor.cc) and
-// the vectorized executor (vec_exec.cc), so both agree byte-for-byte.
-// Join, group and DISTINCT keys are shared through sql/key_hash.h.
-
-/// Aggregate accumulation, shared by both executors. One AggState
-/// streams one aggregate's argument values over one group; `failed`
-/// keeps the first error (evaluating the argument, or SUM/AVG over a
-/// non-numeric value), which FinishAggregate returns.
+/// Aggregate accumulation. One AggState streams one aggregate's argument
+/// values over one group; `failed` keeps the first error (evaluating the
+/// argument, or SUM/AVG over a non-numeric value), which FinishAggregate
+/// returns.
 enum class AggKind { kCount, kSum, kAvg, kMin, kMax, kOther };
 AggKind AggKindOf(const std::string& fn);
 
@@ -45,8 +41,8 @@ struct AggState {
 void FeedValue(AggState* st, AggKind kind, bool distinct, const Value& v);
 /// True for COUNT(*) and argument-less calls, which read no values.
 bool AggregateTakesNoValues(const Expr& agg);
-/// The aggregate over a group of `group_size` rows, or the error the
-/// row-at-a-time evaluation raises first.
+/// The aggregate over a group of `group_size` rows, or the first error
+/// its accumulation kept.
 Result<Value> FinishAggregate(const Expr& agg, const AggState& st,
                               int64_t group_size);
 
@@ -82,25 +78,13 @@ class Executor {
                                   const StatementPlan* plan = nullptr);
 
  private:
-  /// One SELECT body, ignoring `union_next`. Dispatches to the batch
-  /// pipeline (vec_exec.cc) when the plan selects it; otherwise runs the
-  /// row-at-a-time interpreter below.
+  /// One SELECT body, ignoring `union_next`: the columnar pipeline
+  /// (defined in vec_exec.cc), processed in kBatchCapacity windows with
+  /// per-window fallback to scalar evaluation.
   Result<ResultSet> ExecuteSelectCore(const SelectStatement& sel,
                                       const Params& params,
                                       const StatementPlan* plan);
-  /// Row-at-a-time SELECT body — the semantics oracle the batch pipeline
-  /// must match byte-for-byte (results, errors, plan counters, profile
-  /// operators).
-  Result<ResultSet> ExecuteSelectCoreRow(const SelectStatement& sel,
-                                         const Params& params,
-                                         const StatementPlan* plan);
-  /// Columnar SELECT body (defined in vec_exec.cc): same stages as the
-  /// row path, processed in kBatchCapacity windows with per-window
-  /// fallback to scalar evaluation.
-  Result<ResultSet> ExecuteSelectCoreBatch(const SelectStatement& sel,
-                                           const Params& params,
-                                           const StatementPlan* plan);
-  /// The select list as both SELECT bodies see it: stars expanded over
+  /// The select list of one SELECT body: stars expanded over
   /// `columns`, outputs named, grouping detected, and each ORDER BY item
   /// mapped to the output it names (alias, name or ordinal; -1 means
   /// evaluate it in scope).
@@ -112,43 +96,10 @@ class Executor {
   };
   static Result<SelectShape> ShapeSelect(
       const SelectStatement& sel, const std::vector<ScopeColumnRef>& columns);
-  /// Projects one row or group into `produced`: the outputs, then the
-  /// ORDER BY keys, evaluated under `ctx`. A passed-through scope column
-  /// reads `column(i)`; a group without rows has none to read.
-  template <typename ColumnAt>
-  static Status ProjectRow(const SelectStatement& sel,
-                           const SelectShape& shape, const EvalContext& ctx,
-                           bool have_row, const ColumnAt& column,
-                           std::vector<SortableRow>* produced) {
-    SortableRow out_row;
-    out_row.output.reserve(shape.outputs.size());
-    for (const SelectOutput& out : shape.outputs) {
-      if (out.expr != nullptr) {
-        SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*out.expr, ctx));
-        out_row.output.push_back(std::move(v));
-      } else if (have_row) {
-        out_row.output.push_back(column(out.scope_index));
-      } else {
-        return Status::ExecutionError(
-            "cannot select columns from an empty group");
-      }
-    }
-    for (size_t i = 0; i < sel.order_by.size(); ++i) {
-      const int o = shape.order_output_index[i];
-      if (o >= 0) {
-        out_row.sort_keys.push_back(out_row.output[static_cast<size_t>(o)]);
-      } else {
-        SQLFLOW_ASSIGN_OR_RETURN(Value v,
-                                 EvaluateExpr(*sel.order_by[i].expr, ctx));
-        out_row.sort_keys.push_back(std::move(v));
-      }
-    }
-    produced->push_back(std::move(out_row));
-    return Status::OK();
-  }
-  /// One group's output row: HAVING, then ProjectRow, with `agg_values`
-  /// standing in for the aggregate nodes and `rep` binding the group's
-  /// first row (nullptr for a group without rows).
+  /// One group's output row: HAVING, then the outputs and ORDER BY keys
+  /// into `produced`, with `agg_values` standing in for the aggregate
+  /// nodes and `rep` binding the group's first row (nullptr for a group
+  /// without rows). A passed-through scope column reads `column(i)`.
   template <typename ColumnAt>
   Status EmitGroup(const SelectStatement& sel, const SelectShape& shape,
                    const Params& params,
@@ -168,13 +119,37 @@ class Executor {
       SQLFLOW_ASSIGN_OR_RETURN(Value cond, EvaluateExpr(*sel.having, ctx));
       if (!IsTrue(cond)) return Status::OK();
     }
-    return ProjectRow(sel, shape, ctx, rep != nullptr, column, produced);
+    SortableRow out_row;
+    out_row.output.reserve(shape.outputs.size());
+    for (const SelectOutput& out : shape.outputs) {
+      if (out.expr != nullptr) {
+        SQLFLOW_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*out.expr, ctx));
+        out_row.output.push_back(std::move(v));
+      } else if (rep != nullptr) {
+        out_row.output.push_back(column(out.scope_index));
+      } else {
+        return Status::ExecutionError(
+            "cannot select columns from an empty group");
+      }
+    }
+    for (size_t i = 0; i < sel.order_by.size(); ++i) {
+      const int o = shape.order_output_index[i];
+      if (o >= 0) {
+        out_row.sort_keys.push_back(out_row.output[static_cast<size_t>(o)]);
+      } else {
+        SQLFLOW_ASSIGN_OR_RETURN(Value v,
+                                 EvaluateExpr(*sel.order_by[i].expr, ctx));
+        out_row.sort_keys.push_back(std::move(v));
+      }
+    }
+    produced->push_back(std::move(out_row));
+    return Status::OK();
   }
   /// Records the AGGREGATE profile operator of a grouped SELECT.
   void RecordAggregate(const SelectStatement& sel, size_t rows_in,
                        size_t rows_out, uint64_t batches, int64_t start);
-  /// The stages after projection, shared by both SELECT bodies: DISTINCT,
-  /// ORDER BY (skipped when `presorted` by index order), OFFSET/LIMIT.
+  /// The stages after projection: DISTINCT, ORDER BY (skipped when
+  /// `presorted` by index order), OFFSET/LIMIT.
   ResultSet FinishSelect(const SelectStatement& sel, const SelectShape& shape,
                          bool presorted, std::vector<SortableRow> produced);
 
@@ -222,20 +197,13 @@ class Executor {
       bool desired_desc = false);
 
   /// Pushes the single-table conjuncts of `sel.where` that mention only
-  /// `qual`'s columns below the join: fills `out_rows` with the rows of
-  /// `table` passing them (using an index when one matches) and returns
-  /// true. Returns false — leaving `out_rows` untouched — when nothing is
-  /// pushable, pushdown would be unsound (right side of a LEFT OUTER
-  /// join, ambiguous alias), or a pushed conjunct errors on some row
-  /// (the un-pushed WHERE must surface that error itself).
-  bool TryPushdown(Table* table, const std::string& qual,
-                   const SelectStatement& sel, size_t ref_index,
-                   const Params& params, std::vector<Row>* out_rows);
-
-  /// Slot-level core of TryPushdown, shared with the batch pipeline
-  /// (which keeps slots instead of materializing rows). Same contract,
-  /// same plan counters and profile operators; fills `out_slots` with
-  /// the table slots passing the pushed conjuncts, in table order.
+  /// `qual`'s columns below the join: fills `out_slots` with the slots of
+  /// `table` passing them, in table order (using an index when one
+  /// matches), and returns true. Returns false — leaving `out_slots`
+  /// untouched — when nothing is pushable, pushdown would be unsound
+  /// (right side of a LEFT OUTER join, ambiguous alias), or a pushed
+  /// conjunct errors on some row (the un-pushed WHERE must surface that
+  /// error itself).
   bool TryPushdownSlots(Table* table, const std::string& qual,
                         const SelectStatement& sel, size_t ref_index,
                         const Params& params,

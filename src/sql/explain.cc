@@ -15,6 +15,12 @@ namespace sqlflow::sql {
 // Shared plan-decision helpers
 // ---------------------------------------------------------------------------
 
+std::string DeriveOutputColumnName(const Expr& e, size_t ordinal) {
+  if (e.kind == ExprKind::kColumnRef) return e.column_name;
+  if (e.kind == ExprKind::kFunctionCall) return e.function_name;
+  return "col" + std::to_string(ordinal + 1);
+}
+
 int FindScopeColumnIndex(const std::vector<ScopeColumnRef>& cols,
                          const Expr& e) {
   if (e.kind != ExprKind::kColumnRef) return -1;
@@ -174,11 +180,8 @@ namespace {
 
 constexpr int kMaxRenderDepth = 16;
 
-std::string ExplainDeriveColumnName(const Expr& e, size_t ordinal) {
-  if (e.kind == ExprKind::kColumnRef) return e.column_name;
-  if (e.kind == ExprKind::kFunctionCall) return e.function_name;
-  return "col" + std::to_string(ordinal + 1);
-}
+/// Every SELECT core runs the columnar pipeline (vec_exec.cc).
+constexpr const char* kSelectHeader = "SELECT (batch)";
 
 /// Appends one plan line at `depth` (two-space indent per level).
 void AddLine(std::vector<std::string>* lines, int depth, std::string text) {
@@ -229,7 +232,7 @@ bool StaticSelectColumns(Database* db, const SelectStatement& sel,
     }
     out->push_back(!item.alias.empty()
                        ? item.alias
-                       : ExplainDeriveColumnName(*item.expr, out->size()));
+                       : DeriveOutputColumnName(*item.expr, out->size()));
   }
   return true;
 }
@@ -538,28 +541,18 @@ void RenderSelect(Database* db, const SelectStatement& sel, int depth,
   }
 }
 
-/// "SELECT (batch)" when the executor would run this SELECT's first core
-/// through the columnar pipeline (PlanBatchMode is structural, so the
-/// renderer reports the same decision without executing). UNION branches
-/// decide independently at run time; the header reflects the first core,
-/// matching what PlanStatement memoizes.
-std::string SelectHeader(Database* db, const SelectStatement& sel) {
-  return db->batch_enabled() && PlanBatchMode(sel) ? "SELECT (batch)"
-                                                   : "SELECT";
-}
-
 void RenderStatement(Database* db, const Statement& stmt, int depth,
                      std::vector<std::string>* lines) {
   switch (stmt.kind) {
     case StatementKind::kSelect:
-      AddLine(lines, depth, SelectHeader(db, *stmt.select));
+      AddLine(lines, depth, kSelectHeader);
       RenderSelect(db, *stmt.select, depth + 1, lines);
       return;
     case StatementKind::kInsert: {
       const InsertStatement& ins = *stmt.insert;
       AddLine(lines, depth, "INSERT INTO " + ins.table_name);
       if (ins.select != nullptr) {
-        AddLine(lines, depth + 1, SelectHeader(db, *ins.select));
+        AddLine(lines, depth + 1, kSelectHeader);
         RenderSelect(db, *ins.select, depth + 2, lines);
       } else {
         AddLine(lines, depth + 1,
@@ -658,7 +651,7 @@ bool OrderBySargColumns(const SelectStatement& sel, const std::string& qual,
     o.expr = item.expr.get();
     o.name = !item.alias.empty()
                  ? item.alias
-                 : ExplainDeriveColumnName(*item.expr, outputs.size());
+                 : DeriveOutputColumnName(*item.expr, outputs.size());
     outputs.push_back(std::move(o));
   }
 

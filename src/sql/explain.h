@@ -31,6 +31,10 @@ struct ScopeColumnRef {
   std::string name;
 };
 
+/// Output-column name for a select item without an alias: a column's
+/// name, a function's name, else "col<ordinal+1>".
+std::string DeriveOutputColumnName(const Expr& e, size_t ordinal);
+
 /// Scope ordinal of a column reference, mirroring the executor's
 /// ScopeBinding resolution; -1 when absent or ambiguous.
 int FindScopeColumnIndex(const std::vector<ScopeColumnRef>& cols,
@@ -50,8 +54,8 @@ bool PushdownAllowed(const SelectStatement& sel, size_t ref_index);
 
 /// WHERE conjuncts that mention only `qual`'s columns (explicitly
 /// qualified) and can never raise a TypeError the un-pushed WHERE would
-/// have short-circuited past — the set TryPushdown evaluates below the
-/// join.
+/// have short-circuited past — the set TryPushdownSlots evaluates below
+/// the join.
 std::vector<const Expr*> CollectPushableConjuncts(
     const TableSchema& schema, const std::string& qual,
     const SelectStatement& sel);

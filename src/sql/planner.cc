@@ -483,64 +483,6 @@ void ChooseAccessPath(const Table& table, const std::string& alias,
   }
 }
 
-namespace {
-
-/// True when evaluating this subtree has an observable count of
-/// evaluations: scalar/EXISTS subqueries (cursor metrics, NEXTVAL inside
-/// them) and NEXTVAL itself. Batched aggregation defers per-group
-/// argument evaluation and stops after the first error, so such
-/// arguments must keep the row path.
-bool EvalCountObservable(const Expr& e) {
-  if (e.kind == ExprKind::kSubquery || e.kind == ExprKind::kExists) {
-    return true;
-  }
-  if (e.kind == ExprKind::kFunctionCall && e.function_name == "NEXTVAL") {
-    return true;
-  }
-  for (const ExprPtr& c : e.children) {
-    if (c != nullptr && EvalCountObservable(*c)) return true;
-  }
-  return e.case_else != nullptr && EvalCountObservable(*e.case_else);
-}
-
-/// Walks `e` looking for aggregate calls whose arguments are not batch
-/// safe. Does not descend into subqueries: a subquery runs its own
-/// SELECT core and makes its own batch-mode decision.
-bool AggregateArgsBatchSafe(const Expr& e) {
-  if (e.kind == ExprKind::kFunctionCall &&
-      IsAggregateFunctionName(e.function_name)) {
-    for (const ExprPtr& c : e.children) {
-      if (c != nullptr && EvalCountObservable(*c)) return false;
-    }
-    return true;  // the dialect rejects nested aggregates
-  }
-  if (e.kind == ExprKind::kSubquery || e.kind == ExprKind::kExists) {
-    return true;
-  }
-  for (const ExprPtr& c : e.children) {
-    if (c != nullptr && !AggregateArgsBatchSafe(*c)) return false;
-  }
-  return e.case_else == nullptr || AggregateArgsBatchSafe(*e.case_else);
-}
-
-}  // namespace
-
-bool PlanBatchMode(const SelectStatement& sel) {
-  if (sel.from.empty()) return false;
-  for (const SelectItem& item : sel.items) {
-    if (item.expr != nullptr && !AggregateArgsBatchSafe(*item.expr)) {
-      return false;
-    }
-  }
-  if (sel.having != nullptr && !AggregateArgsBatchSafe(*sel.having)) {
-    return false;
-  }
-  for (const OrderByItem& ob : sel.order_by) {
-    if (ob.expr != nullptr && !AggregateArgsBatchSafe(*ob.expr)) return false;
-  }
-  return true;
-}
-
 StatementPlan PlanStatement(const Statement& stmt, Database* db) {
   StatementPlan plan;
   plan.schema_epoch = db->schema_epoch();
@@ -550,7 +492,6 @@ StatementPlan PlanStatement(const Statement& stmt, Database* db) {
   switch (stmt.kind) {
     case StatementKind::kSelect: {
       const SelectStatement& sel = *stmt.select;
-      plan.use_batch = PlanBatchMode(sel);
       if (sel.from.size() != 1 || sel.from[0].derived != nullptr ||
           sel.where == nullptr) {
         return plan;

@@ -91,11 +91,6 @@ struct StatementPlan {
   IndexLookupPlan access;
   bool has_range = false;
   RangeScanPlan range;
-  /// SELECT only: run the columnar batch pipeline (vec_exec.cc) instead
-  /// of the row-at-a-time interpreter. Decided structurally by
-  /// PlanBatchMode; the pipeline still falls back to scalar evaluation
-  /// per window when a kernel cannot prove identical semantics.
-  bool use_batch = false;
 };
 
 /// Flattens nested ANDs: `a AND (b AND c)` → {a, b, c}. Any non-AND
@@ -145,13 +140,6 @@ bool ProbeExprCompatible(ValueType column_type, const Expr& e);
 /// Plans the top-level statement (single-table SELECT/UPDATE/DELETE);
 /// other kinds yield an empty plan stamped with the current epoch.
 StatementPlan PlanStatement(const Statement& stmt, Database* db);
-
-/// Structural batch-eligibility gate for one SELECT core: true when the
-/// statement reads from at least one table and no aggregate argument
-/// contains a subquery, EXISTS, or NEXTVAL (whose evaluation counts are
-/// observable and would diverge under deferred batched accumulation).
-/// UNION branches are decided independently by the caller.
-bool PlanBatchMode(const SelectStatement& sel);
 
 /// Evaluates the plan's probe expressions and collects candidate row
 /// slots (ascending, deduplicated). nullopt ⇒ fall back to a scan (probe

@@ -17,8 +17,8 @@ struct ExecProfileOp {
   uint64_t rows_in = 0;
   uint64_t rows_out = 0;
   uint64_t loops = 0;
-  /// Windows processed by the batch pipeline (0 on the row path — the
-  /// ANALYZE column renders it only when the batch executor ran).
+  /// kBatchCapacity windows the operator processed (0 for operators
+  /// that do not run windowed, such as access paths and SORT).
   uint64_t batches = 0;
   int64_t elapsed_ns = 0;
 };

@@ -216,8 +216,8 @@ class Table {
   /// True when the live rows() vector is NOT the correct view for a
   /// reader at `snapshot_ts`: another transaction has pending rows
   /// here, something committed after the snapshot, or superseded
-  /// versions are stashed. When false the executor keeps the fast
-  /// index/batch paths; when true it materializes via SnapshotRows.
+  /// versions are stashed. When false the executor keeps index lookups
+  /// and pushdown; when true it materializes via SnapshotRows.
   bool NeedsSnapshot(uint64_t reader_txn, uint64_t snapshot_ts) const;
 
   /// Materializes the rows visible to `reader_txn` at `snapshot_ts`:

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sql/database.h"
 #include "sql/executor.h"
@@ -20,15 +21,16 @@
 // ---------------------------------------------------------------------------
 // Vectorized SELECT pipeline
 // ---------------------------------------------------------------------------
-// This file implements Executor::ExecuteSelectCoreBatch: the same stage
-// sequence as ExecuteSelectCoreRow (FROM resolution → joins → WHERE →
-// projection/aggregation → DISTINCT → ORDER BY → LIMIT), processed in
-// kBatchCapacity-row windows over a columnar relation. Every window is
-// all-or-nothing: a kernel either evaluates the whole window with
-// provably identical results and no possible error/side effect, or the
-// window re-runs through the scalar EvaluateExpr path. The row path is
-// the semantics oracle — results, error messages, error ordering, plan
-// counters, and profile operators must match byte-for-byte.
+// This file implements Executor::ExecuteSelectCore, the one SELECT body:
+// FROM resolution → joins → WHERE → projection/aggregation → DISTINCT →
+// ORDER BY → LIMIT, processed in kBatchCapacity-row windows over a
+// columnar relation. Every window is all-or-nothing: a kernel either
+// evaluates the whole window with provably identical results and no
+// possible error/side effect, or the window re-runs through the scalar
+// EvaluateExpr path. The semantics are those of a row-at-a-time
+// evaluation — results, error messages, error ordering and side effects
+// — and the test-side reference evaluator (tests/reference_select.h)
+// is the oracle the fuzzer holds the pipeline to.
 
 namespace sqlflow::sql {
 
@@ -400,7 +402,7 @@ bool TryVecEval(const Expr& e, const VecWindow& w, VecCol* out) {
       return out->tag != Tag::kBail;
     case ExprKind::kParameter: {
       // Mirrors EvaluateExpr's parameter resolution; an unbound
-      // parameter (an error on the row path) bails so the scalar pass
+      // parameter (an EvaluateExpr error) bails so the scalar pass
       // raises it.
       if (w.params == nullptr) return false;
       const Value* found = nullptr;
@@ -502,7 +504,7 @@ bool TryVecEval(const Expr& e, const VecWindow& w, VecCol* out) {
     case ExprKind::kBinary: {
       if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
         // Both operands evaluate eagerly here; safe because successful
-        // kernels are pure and error-free, so skipping the row path's
+        // kernels are pure and error-free, so skipping EvaluateExpr's
         // short-circuit is unobservable.
         VecCol a;
         VecCol b;
@@ -702,15 +704,40 @@ bool VecIsTrue(const VecCol& col, size_t i) {
   return col.tag == Tag::kBool && !col.IsNull(i) && col.bools[i] != 0;
 }
 
+/// Slots 0..n-1: every row of a side, in storage order.
+std::vector<uint32_t> IdentitySlots(size_t n) {
+  std::vector<uint32_t> slots(n);
+  for (size_t i = 0; i < n; ++i) slots[i] = static_cast<uint32_t>(i);
+  return slots;
+}
+
+/// True when evaluating this subtree has an observable count of
+/// evaluations: scalar/EXISTS subqueries (cursor metrics, NEXTVAL inside
+/// them) and NEXTVAL itself. Windowed aggregation evaluates arguments
+/// ahead of their group's turn and keeps going past a group's error, so
+/// such aggregate arguments are evaluated group by group instead.
+bool EvalCountObservable(const Expr& e) {
+  if (e.kind == ExprKind::kSubquery || e.kind == ExprKind::kExists) {
+    return true;
+  }
+  if (e.kind == ExprKind::kFunctionCall && e.function_name == "NEXTVAL") {
+    return true;
+  }
+  for (const ExprPtr& c : e.children) {
+    if (c != nullptr && EvalCountObservable(*c)) return true;
+  }
+  return e.case_else != nullptr && EvalCountObservable(*e.case_else);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Batch SELECT core
+// SELECT core
 // ---------------------------------------------------------------------------
 
-Result<ResultSet> Executor::ExecuteSelectCoreBatch(
-    const SelectStatement& sel, const Params& params,
-    const StatementPlan* plan) {
+Result<ResultSet> Executor::ExecuteSelectCore(const SelectStatement& sel,
+                                              const Params& params,
+                                              const StatementPlan* plan) {
   db_->NotePlanChoice(PlanChoice::kBatch);
   ExecProfile* prof = db_->exec_profile();
 
@@ -721,6 +748,13 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
   bool order_by_presorted = false;
 
   // --- 1. FROM scope ------------------------------------------------------
+  if (sel.from.empty()) {
+    // SELECT without FROM: one row of no columns.
+    side_store.emplace_back();
+    side_store.back().OwnRows({Row{}}, 0);
+    scope.AddSide(&side_store.back(), "", {});
+    scope.slots[0] = {0};
+  }
   for (size_t ref_index = 0; ref_index < sel.from.size(); ++ref_index) {
     const TableRef& ref = sel.from[ref_index];
     const std::string& qual =
@@ -732,24 +766,49 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     Table* table = ref.derived == nullptr
                        ? db_->catalog().FindTable(ref.table_name)
                        : nullptr;
+    if (table != nullptr) {
+      for (const ColumnDef& col : table->schema().columns()) {
+        right_cols.push_back({qual, col.name});
+      }
+    }
     if (table == nullptr) {
       std::vector<Row> rows;
       SQLFLOW_RETURN_IF_ERROR(
           ExecuteSubqueryRef(ref, qual, params, &right_cols, &rows));
       right_side.OwnRows(std::move(rows), right_cols.size());
-      right_slots.resize(right_side.rows->size());
-      for (size_t i = 0; i < right_slots.size(); ++i) {
-        right_slots[i] = static_cast<uint32_t>(i);
+      right_slots = IdentitySlots(right_side.rows->size());
+    } else if (db_->NeedsSnapshotRead(*table)) {
+      // Version state is live on this table: own exactly the rows this
+      // connection's snapshot admits — other transactions' pending
+      // writes hidden, later commits hidden, own writes and stashed
+      // pre-images resolved. Index lookups, pushdown and presorting read
+      // raw row slots, so they disengage for this reference.
+      right_side.OwnRows(
+          table->SnapshotRows(db_->ReaderTxnId(), db_->SnapshotTs()),
+          right_cols.size());
+      right_slots = IdentitySlots(right_side.rows->size());
+      obs::MetricsRegistry::Global()
+          .GetCounter("sql.mvcc.snapshot_scan")
+          .Increment();
+      if (first_ref) db_->NotePlanChoice(PlanChoice::kScan);
+      if (prof != nullptr) {
+        ExecProfileOp& op =
+            prof->Add("SNAPSHOT", table->schema().table_name());
+        op.rows_in = table->row_count();
+        op.rows_out = right_slots.size();
+        op.loops = 1;
       }
     } else {
-      for (const ColumnDef& col : table->schema().columns()) {
-        right_cols.push_back({qual, col.name});
-      }
-      right_side.BorrowRows(&table->rows(),
-                            table->schema().columns().size());
+      right_side.BorrowRows(&table->rows(), right_cols.size());
       std::optional<ResolvedAccess> resolved;
       std::vector<size_t> pushed_slots;
       bool pushed = false;
+      // A single-base-table SELECT can satisfy sargable WHERE conjuncts
+      // through an index instead of scanning the whole table (and its
+      // ORDER BY through index order). The full WHERE still runs over
+      // the candidates below, so collisions and residual conjuncts are
+      // re-checked. Base tables joined to others instead get their
+      // single-table conjuncts pushed below the join.
       if (first_ref && sel.from.size() == 1) {
         std::vector<size_t> order_cols;
         bool order_desc = false;
@@ -768,21 +827,18 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
       } else if (first_ref) {
         db_->NotePlanChoice(PlanChoice::kScan);
       }
-      if (resolved.has_value()) {
-        right_slots.reserve(resolved->slots.size());
-        for (size_t slot : resolved->slots) {
-          right_slots.push_back(static_cast<uint32_t>(slot));
-        }
-      } else if (pushed) {
-        right_slots.reserve(pushed_slots.size());
-        for (size_t slot : pushed_slots) {
+      if (resolved.has_value() || pushed) {
+        const std::vector<size_t>& slots =
+            resolved.has_value() ? resolved->slots : pushed_slots;
+        right_slots.reserve(slots.size());
+        for (size_t slot : slots) {
           right_slots.push_back(static_cast<uint32_t>(slot));
         }
       } else {
-        right_slots.resize(table->row_count());
-        for (size_t i = 0; i < right_slots.size(); ++i) {
-          right_slots[i] = static_cast<uint32_t>(i);
-        }
+        right_slots = IdentitySlots(table->row_count());
+        // The single-table path records its access op (including a
+        // scan) inside ResolveCandidates; joined refs that neither
+        // pushed nor resolved record their scan here.
         if (prof != nullptr && !(first_ref && sel.from.size() == 1)) {
           ExecProfileOp& op =
               prof->Add("SCAN", table->schema().table_name());
@@ -843,8 +899,8 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     std::vector<std::vector<uint32_t>> out_slots(prev_sides + 1);
 
     // Streaming pair evaluation: candidate (li, ri) pairs flow through
-    // kBatchCapacity windows in the row path's emission order; LEFT
-    // OUTER padding is inserted when a left row closes unmatched.
+    // kBatchCapacity windows in nested-loop emission order; LEFT OUTER
+    // padding is inserted when a left row closes unmatched.
     VecRelation probe;
     probe.columns = combined_cols;
     probe.sides = scope.sides;
@@ -1056,8 +1112,8 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     const std::vector<const Expr*>& agg_nodes = shape.aggs;
     const size_t num_aggs = agg_nodes.size();
 
-    // 4a. Partition rows into groups (one pass — the row path partitions
-    // all rows before computing any aggregate).
+    // 4a. Partition rows into groups (one pass, every key evaluated
+    // before any aggregate argument).
     std::vector<uint32_t> group_of_row(filtered_rows, 0);
     std::vector<size_t> group_rep;   // first row of each group
     std::vector<int64_t> group_size;
@@ -1124,18 +1180,27 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
       }
     }
 
-    // 4b. Streaming accumulation, kBatchCapacity rows at a time.
+    // 4b. Streaming accumulation, kBatchCapacity rows at a time. Skipped
+    // for COUNT(*) / argless calls, which read no values, and for
+    // arguments whose evaluation count is observable, which 4c evaluates
+    // group by group.
     std::vector<AggKind> agg_kinds(num_aggs);
-    std::vector<uint8_t> agg_skip(num_aggs, 0);  // COUNT(*) / argless
+    std::vector<uint8_t> agg_skip(num_aggs, 0);
+    std::vector<uint8_t> agg_deferred(num_aggs, 0);
+    bool any_accum = false;
+    bool any_deferred = false;
     for (size_t a = 0; a < num_aggs; ++a) {
       agg_kinds[a] = AggKindOf(agg_nodes[a]->function_name);
-      agg_skip[a] = AggregateTakesNoValues(*agg_nodes[a]);
+      if (AggregateTakesNoValues(*agg_nodes[a])) {
+        agg_skip[a] = 1;
+      } else if (EvalCountObservable(*agg_nodes[a]->children[0])) {
+        agg_skip[a] = agg_deferred[a] = 1;
+        any_deferred = true;
+      } else {
+        any_accum = true;
+      }
     }
     std::vector<AggState> states(num_groups * num_aggs);
-    bool any_accum = false;
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (!agg_skip[a]) any_accum = true;
-    }
     if (any_accum && num_groups > 0) {
       VecCol arg_col;
       for (size_t start = 0; start < filtered_rows;
@@ -1184,16 +1249,36 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
       }
     }
 
-    // 4c. Finalize groups in first-seen order, interleaving aggregate
-    // errors, HAVING, and output evaluation exactly like the row path's
-    // per-group loop.
+    // Rows of each group in input order, for the deferred aggregates.
+    std::vector<std::vector<uint32_t>> group_rows(any_deferred ? num_groups
+                                                               : 0);
+    if (any_deferred) {
+      for (size_t r = 0; r < filtered_rows; ++r) {
+        group_rows[group_of_row[r]].push_back(static_cast<uint32_t>(r));
+      }
+    }
+
+    // 4c. Finalize groups in first-seen order. Per group, each aggregate
+    // in tree order (a deferred one evaluating its argument over the
+    // group's rows, stopping at the first error), then HAVING and the
+    // outputs: every effect and the first error land in the order of a
+    // row-at-a-time evaluation.
     for (size_t g = 0; g < num_groups; ++g) {
       std::map<const Expr*, Value> agg_values;
       for (size_t a = 0; a < num_aggs; ++a) {
-        SQLFLOW_ASSIGN_OR_RETURN(
-            agg_values[agg_nodes[a]],
-            FinishAggregate(*agg_nodes[a], states[g * num_aggs + a],
-                            group_size[g]));
+        const Expr& agg = *agg_nodes[a];
+        AggState& st = states[g * num_aggs + a];
+        if (agg_deferred[a]) {
+          for (uint32_t r : group_rows[g]) {
+            scalar_binding.set_row(r);
+            SQLFLOW_ASSIGN_OR_RETURN(
+                Value v, EvaluateExpr(*agg.children[0], scalar_ctx));
+            FeedValue(&st, agg_kinds[a], agg.distinct_arg, v);
+            if (st.failed) break;
+          }
+        }
+        SQLFLOW_ASSIGN_OR_RETURN(agg_values[&agg],
+                                 FinishAggregate(agg, st, group_size[g]));
       }
 
       VecRowBinding rep_binding(&scope);
@@ -1208,7 +1293,7 @@ Result<ResultSet> Executor::ExecuteSelectCoreBatch(
     }
   } else {
     // Plain projection: per-window kernels per output column, scalar
-    // fallback per bailed column in the row path's row-major order
+    // fallback per bailed column in row-major order
     // (vectorized columns are pure, so precomputing them cannot reorder
     // observable effects).
     const size_t O = outputs.size();

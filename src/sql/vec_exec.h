@@ -83,8 +83,7 @@ struct VecRelation {
     return (*sides[side]->rows)[slot][col_offset[col]];
   }
 
-  /// Materializes one full relation row (used for group representative
-  /// rows, where the row path would bind the original scope row).
+  /// Materializes one full relation row.
   Row MaterializeRow(size_t row) const {
     Row out;
     out.reserve(columns.size());
@@ -101,15 +100,15 @@ struct VecWindow {
   const Params* params = nullptr;
 };
 
-/// Scope-column ordinal for a column reference, mirroring the row
+/// Scope-column ordinal for a column reference, mirroring the
 /// executor's ScopeBinding resolution. -1 ⇒ not found, -2 ⇒ ambiguous
 /// (kernels bail either way; the scalar fallback then raises the exact
-/// row-path error).
+/// error).
 int FindVecColumn(const VecRelation& rel, const std::string& qualifier,
                   const std::string& name);
 
 /// Vectorized expression kernel. Returns true and fills `out` when the
-/// whole window can be evaluated with provably row-path-identical
+/// whole window can be evaluated with provably EvaluateExpr-identical
 /// results and *no possibility of an evaluation error or side effect*;
 /// returns false (out reset to kBail) otherwise, and the caller must
 /// re-evaluate the window row-at-a-time through EvaluateExpr.

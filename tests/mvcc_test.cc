@@ -14,7 +14,9 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "sql/database.h"
 #include "sql/introspect.h"
 #include "sql/table.h"
@@ -340,6 +342,74 @@ TEST_F(MvccTest, UpdateOntoKeyPendingUnderAnotherInsertIsTransient) {
   EXPECT_TRUE(undo.empty());
   EXPECT_EQ(Snapshot(*conn1_), before);
   ASSERT_TRUE(conn1_->Rollback().ok());
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).value();
+}
+
+// While another connection holds a pending UPDATE, INSERT and DELETE,
+// every SELECT shape reads the committed state through the one SELECT
+// pipeline, over the snapshot copy of the table.
+TEST_F(MvccTest, PipelineServesSnapshotReads) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE owners (owner VARCHAR(16) PRIMARY KEY, region VARCHAR(8));
+    INSERT INTO owners VALUES ('alice', 'east'), ('bob', 'west'),
+                              ('carol', 'east'), ('dan', 'west');
+  )sql")
+                  .ok());
+  ASSERT_TRUE(conn1_->Begin().ok());
+  ASSERT_TRUE(
+      conn1_->Execute("UPDATE accounts SET balance = 999 WHERE id = 1").ok());
+  ASSERT_TRUE(
+      conn1_->Execute("INSERT INTO accounts VALUES (4, 'dan', 0)").ok());
+  ASSERT_TRUE(conn1_->Execute("DELETE FROM accounts WHERE id = 3").ok());
+
+  auto query = [&](const std::string& sql) -> std::vector<Row> {
+    const uint64_t batches = CounterValue("sql.plan.batch");
+    const uint64_t snapshots = CounterValue("sql.mvcc.snapshot_scan");
+    auto rs = conn2_->Execute(sql);
+    EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+    EXPECT_GT(CounterValue("sql.plan.batch"), batches) << sql;
+    EXPECT_GT(CounterValue("sql.mvcc.snapshot_scan"), snapshots) << sql;
+    return rs.ok() ? rs->rows() : std::vector<Row>{};
+  };
+  auto i = [](int64_t v) { return Value::Integer(v); };
+  auto str = [](const char* v) { return Value::String(v); };
+
+  EXPECT_EQ(query("SELECT owner, balance FROM accounts WHERE id = 1"),
+            (std::vector<Row>{{str("alice"), i(100)}}));
+  EXPECT_EQ(query("SELECT owner FROM accounts WHERE id = 3"),
+            (std::vector<Row>{{str("carol")}}));
+  EXPECT_TRUE(query("SELECT owner FROM accounts WHERE id = 4").empty());
+  EXPECT_EQ(query("SELECT o.region, SUM(a.balance), COUNT(*) "
+                  "FROM accounts a JOIN owners o ON a.owner = o.owner "
+                  "GROUP BY o.region ORDER BY o.region"),
+            (std::vector<Row>{{str("east"), i(400), i(2)},
+                              {str("west"), i(200), i(1)}}));
+  EXPECT_EQ(query("SELECT DISTINCT balance >= 200 AS rich FROM accounts "
+                  "ORDER BY rich"),
+            (std::vector<Row>{{Value::Boolean(false)},
+                              {Value::Boolean(true)}}));
+  EXPECT_EQ(query("SELECT id, balance FROM accounts "
+                  "ORDER BY balance DESC LIMIT 2"),
+            (std::vector<Row>{{i(3), i(300)}, {i(2), i(200)}}));
+  ASSERT_TRUE(conn1_->Rollback().ok());
+}
+
+TEST_F(MvccTest, PipelineServesSelectsWithoutFrom) {
+  ASSERT_TRUE(db_.Execute("CREATE SEQUENCE s START WITH 7").ok());
+  for (const auto& [sql, expected] :
+       std::vector<std::pair<std::string, Value>>{
+           {"SELECT 1 + 1", Value::Integer(2)},
+           {"SELECT NEXTVAL('s')", Value::Integer(7)}}) {
+    const uint64_t batches = CounterValue("sql.plan.batch");
+    auto rs = conn1_->Execute(sql);
+    ASSERT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+    ASSERT_EQ(rs->row_count(), 1u) << sql;
+    EXPECT_EQ(rs->rows()[0][0], expected) << sql;
+    EXPECT_GT(CounterValue("sql.plan.batch"), batches) << sql;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "sql/database.h"
 #include "sql/eval.h"
 #include "sql/table.h"
@@ -474,11 +475,12 @@ TEST_F(ExecutorTest, AggregateOutsideGroupScopeIsError) {
 
 // Group identity: two keys are one group when both are NULL, or when
 // they have the same type and are equal (DOUBLE: -0.0 = 0.0). GROUP BY,
-// DISTINCT, UNION and COUNT(DISTINCT) agree on it in both executors.
+// DISTINCT, UNION and COUNT(DISTINCT) agree on it with the optimizer on
+// and off.
 class GroupKeyTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
-    db_.set_batch_enabled(GetParam());
+    db_.set_optimizer_enabled(GetParam());
     ASSERT_TRUE(db_.ExecuteScript(R"sql(
       CREATE TABLE t (id INTEGER PRIMARY KEY, d DOUBLE);
       INSERT INTO t VALUES (1, 1.0000001), (2, 1.0000002), (3, 0.0),
@@ -534,10 +536,80 @@ TEST_P(GroupKeyTest, IntegerAndDoubleStaySeparate) {
             2u);
 }
 
+// Instance names: "Batch" runs with the optimizer on, "Row" with it off;
+// the names stay as they are so the suite's test ids stay stable.
 INSTANTIATE_TEST_SUITE_P(BothExecutors, GroupKeyTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Batch" : "Row";
                          });
+
+// Aggregate arguments whose evaluation is observable (NEXTVAL, scalar
+// subqueries) evaluate group by group in first-seen group order, each
+// group's rows in input order, and stop at the first error. The groups
+// interleave in input order, so evaluating in input order instead would
+// hand out different sequence values and run more subqueries.
+class ObservableAggregateTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Input order: g = 1, 2, 1, 2, 3. v = 0 only in the second g = 2 row.
+    ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      CREATE TABLE ev (id INTEGER PRIMARY KEY, g INTEGER, v INTEGER);
+      INSERT INTO ev VALUES (1, 1, 10), (2, 2, 20), (3, 1, 30), (4, 2, 0),
+                            (5, 3, 5);
+      CREATE SEQUENCE s START WITH 1;
+    )sql")
+                    .ok());
+  }
+
+  static uint64_t Scans() {
+    return obs::MetricsRegistry::Global().GetCounter("sql.plan.scan").value();
+  }
+
+  Database db_{"observable_aggs"};
+};
+
+TEST_F(ObservableAggregateTest, NextvalArgumentsNumberRowsGroupByGroup) {
+  auto rs = db_.Execute("SELECT g, SUM(NEXTVAL('s')), COUNT(*) FROM ev "
+                        "GROUP BY g");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  // g = 1 draws 1 and 2, g = 2 draws 3 and 4, g = 3 draws 5.
+  ASSERT_EQ(rs->row_count(), 3u);
+  EXPECT_EQ(rs->rows()[0], (Row{Value::Integer(1), Value::Integer(3),
+                                Value::Integer(2)}));
+  EXPECT_EQ(rs->rows()[1], (Row{Value::Integer(2), Value::Integer(7),
+                                Value::Integer(2)}));
+  EXPECT_EQ(rs->rows()[2], (Row{Value::Integer(3), Value::Integer(5),
+                                Value::Integer(1)}));
+  auto next = db_.Execute("SELECT NEXTVAL('s')");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->rows()[0][0], Value::Integer(6));
+}
+
+TEST_F(ObservableAggregateTest, SubqueryArgumentRunsOncePerRow) {
+  const uint64_t before = Scans();
+  auto rs = db_.Execute("SELECT g, SUM((SELECT MAX(v) FROM ev) + v) FROM ev "
+                        "GROUP BY g");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->row_count(), 3u);
+  EXPECT_EQ(rs->rows()[0], (Row{Value::Integer(1), Value::Integer(100)}));
+  EXPECT_EQ(rs->rows()[1], (Row{Value::Integer(2), Value::Integer(80)}));
+  EXPECT_EQ(rs->rows()[2], (Row{Value::Integer(3), Value::Integer(35)}));
+  // One scan for the outer SELECT, one per row for the subquery.
+  EXPECT_EQ(Scans() - before, 6u);
+}
+
+TEST_F(ObservableAggregateTest, ArgumentFailingInALaterGroupStopsThere) {
+  const uint64_t before = Scans();
+  // g = 1 evaluates 30/10 and 30/30; g = 2 evaluates 30/20, then 30/0
+  // fails. The g = 3 row is never evaluated.
+  auto rs = db_.Execute("SELECT g, SUM((SELECT MAX(v) FROM ev) / v) FROM ev "
+                        "GROUP BY g");
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), StatusCode::kExecutionError);
+  EXPECT_EQ(rs.status().message(), "division by zero");
+  // One scan for the outer SELECT, one per evaluated row (4 of 5).
+  EXPECT_EQ(Scans() - before, 5u);
+}
 
 // LIKE semantics, exercised pairwise.
 struct LikeCase {

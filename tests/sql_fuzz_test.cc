@@ -1,11 +1,12 @@
 // Differential SQL fuzzer: generates seed-reproducible random SELECTs
-// over a fixed two-table schema and executes each one four ways —
-// {optimizer on, off} × {batch pipeline on, off} — expecting
-// byte-for-byte identical results across all four configurations (rows
-// canonically sorted when the query has no ORDER BY). The baseline is
-// optimizer-off + batch-off: the row-at-a-time scan interpreter. Any
-// divergence prints the seed, the query index, the SQL, and which
-// configuration diverged, so a failure reproduces with a one-line edit.
+// over a fixed two-table schema and executes each one through the
+// executor twice — optimizer off (full scans, nested loops) and on
+// (index lookups, range scans, hash joins, pushdown) — expecting both to
+// match the naive reference evaluator (tests/reference_select.h)
+// byte for byte (rows canonically sorted when the query has no ORDER
+// BY). Any divergence prints the seed, the query index, the SQL, and
+// which configuration diverged, so a failure reproduces with a one-line
+// edit.
 //
 // The grammar deliberately emits only type-class-compatible predicates
 // (numeric columns vs. numeric-ish literals, string columns vs. string
@@ -26,6 +27,8 @@
 #include "obs/metrics.h"
 #include "sql/checkpoint.h"
 #include "sql/database.h"
+
+#include "reference_select.h"
 
 namespace sqlflow::sql {
 namespace {
@@ -342,52 +345,39 @@ TEST(SqlFuzzTest, OptimizedPlansMatchScanSemanticsOn600RandomQueries) {
   uint64_t pushdowns = CounterValue("sql.plan.pushdown");
   uint64_t batches = CounterValue("sql.plan.batch");
 
-  // The four configurations; index 0 is the baseline (pure row-at-a-time
-  // scan interpreter — no optimizer, no batch pipeline).
   struct Config {
     const char* label;
     bool optimizer;
-    bool batch;
   };
-  static const Config kConfigs[] = {
-      {"scan/row", false, false},
-      {"scan/batch", false, true},
-      {"optimized/row", true, false},
-      {"optimized/batch", true, true},
-  };
+  static const Config kConfigs[] = {{"scan", false}, {"optimized", true}};
 
   int mismatches = 0;
   for (int q = 0; q < kQueryCount; ++q) {
     bool has_order_by = false;
     std::string sql = fuzz.Generate(&has_order_by);
 
-    std::string results[4];
-    for (int c = 0; c < 4; ++c) {
-      db.set_optimizer_enabled(kConfigs[c].optimizer);
-      db.set_batch_enabled(kConfigs[c].batch);
-      results[c] = Canonical(db.Execute(sql), has_order_by);
-    }
-    db.set_optimizer_enabled(true);
-    db.set_batch_enabled(true);
-
-    for (int c = 1; c < 4; ++c) {
-      if (results[c] != results[0]) {
+    const std::string expected =
+        Canonical(ReferenceSelect(&db, sql), has_order_by);
+    for (const Config& config : kConfigs) {
+      db.set_optimizer_enabled(config.optimizer);
+      const std::string got = Canonical(db.Execute(sql), has_order_by);
+      if (got != expected) {
         ADD_FAILURE() << "differential mismatch (seed=" << kSeed
-                      << ", query #" << q << ", " << kConfigs[c].label
-                      << " vs " << kConfigs[0].label << ")\n  SQL: " << sql
-                      << "\n--- " << kConfigs[c].label << " ---\n"
-                      << results[c] << "--- " << kConfigs[0].label
-                      << " ---\n" << results[0];
+                      << ", query #" << q << ", " << config.label
+                      << " vs reference)\n  SQL: " << sql << "\n--- "
+                      << config.label << " ---\n"
+                      << got << "--- reference ---\n" << expected;
         ++mismatches;
       }
     }
+    db.set_optimizer_enabled(true);
     if (mismatches >= 5) break;  // enough to debug; stop the flood
   }
   EXPECT_EQ(mismatches, 0);
 
-  // The run must have exercised every access path — including the
-  // columnar batch pipeline — or the fuzz grammar has silently stopped
-  // covering the planner.
+  // The run must have exercised every access path, and every SELECT the
+  // columnar pipeline, or the fuzz grammar has silently stopped covering
+  // the planner.
   EXPECT_GT(CounterValue("sql.plan.scan"), scans);
   EXPECT_GT(CounterValue("sql.plan.index_lookup"), lookups);
   EXPECT_GT(CounterValue("sql.plan.range_scan"), ranges);

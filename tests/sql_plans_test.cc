@@ -18,6 +18,8 @@
 #include "sql/planner.h"
 #include "sql/table.h"
 
+#include "reference_select.h"
+
 namespace sqlflow::sql {
 namespace {
 
@@ -262,18 +264,17 @@ TEST_F(PlansTest, JoinWithResidualConjunct) {
       "ON e.dept = d.id AND e.salary > 70 ORDER BY e.id");
 }
 
-// Runs `sql` through ExpectDifferentialMatch in both executors, and
-// expects the optimized run to take the hash join. No ORDER BY: the
-// hash join must emit the nested loop's pair order by itself.
+// Runs `sql` through ExpectDifferentialMatch and expects the optimized
+// run to take the hash join. No ORDER BY: the hash join must emit the
+// reference nested loop's pair order by itself.
 void ExpectHashJoinMatchesNestedLoop(Database& db, const std::string& sql) {
-  for (bool batch : {false, true}) {
-    db.set_batch_enabled(batch);
-    uint64_t hash = CounterValue("sql.plan.hash_join");
-    ExpectDifferentialMatch(db, sql);
-    EXPECT_GT(CounterValue("sql.plan.hash_join"), hash)
-        << (batch ? "batch: " : "row: ") << sql;
-  }
-  db.set_batch_enabled(true);
+  uint64_t hash = CounterValue("sql.plan.hash_join");
+  ExpectDifferentialMatch(db, sql);
+  EXPECT_GT(CounterValue("sql.plan.hash_join"), hash) << sql;
+  auto expected = ReferenceSelect(&db, sql);
+  auto got = db.Execute(sql);
+  ASSERT_TRUE(expected.ok() && got.ok()) << sql;
+  EXPECT_EQ(got->ToAsciiTable(100000), expected->ToAsciiTable(100000)) << sql;
 }
 
 class JoinOrderTest : public ::testing::Test {

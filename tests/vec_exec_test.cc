@@ -1,9 +1,10 @@
 // Columnar batch pipeline tests: the batch.h primitives (NullBitmap
 // word boundaries, LoadVecCol type unification, selection compaction),
 // the VecRelation slot model (kNullSlot LEFT OUTER padding), and
-// batch-vs-row differentials pinned to the spots where the vectorized
-// executor has real seams — the kBatchCapacity window boundary, GROUP
-// BY state carried across windows, and LEFT JOIN NULL padding.
+// differentials against the reference evaluator pinned to the spots
+// where the vectorized executor has real seams — the kBatchCapacity
+// window boundary, GROUP BY state carried across windows, and LEFT JOIN
+// NULL padding.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,8 @@
 #include "sql/batch.h"
 #include "sql/database.h"
 #include "sql/vec_exec.h"
+
+#include "reference_select.h"
 
 namespace sqlflow::sql {
 namespace {
@@ -208,7 +211,7 @@ TEST(VecRelationTest, FindVecColumnResolution) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-vs-row differentials at the window seams
+// Pipeline-vs-reference differentials at the window seams
 // ---------------------------------------------------------------------------
 
 std::string Canon(const Result<ResultSet>& r, bool ordered) {
@@ -228,17 +231,16 @@ std::string Canon(const Result<ResultSet>& r, bool ordered) {
   return out;
 }
 
-// Runs `sql` with the batch pipeline off then on; the batch run must
-// take the vectorized path (counter grows) and agree byte-for-byte.
-void ExpectBatchMatchesRow(Database& db, const std::string& sql,
-                           bool ordered = false) {
-  db.set_batch_enabled(false);
-  std::string row = Canon(db.Execute(sql), ordered);
-  db.set_batch_enabled(true);
+// Runs `sql` through the executor, which must take the columnar
+// pipeline (counter grows), and through the reference evaluator; the two
+// must agree byte for byte.
+void ExpectMatchesReference(Database& db, const std::string& sql,
+                            bool ordered = false) {
+  const std::string expected = Canon(ReferenceSelect(&db, sql), ordered);
   uint64_t before = BatchCounter();
-  std::string batch = Canon(db.Execute(sql), ordered);
+  std::string got = Canon(db.Execute(sql), ordered);
   EXPECT_GT(BatchCounter(), before) << "batch path not taken: " << sql;
-  EXPECT_EQ(batch, row) << "batch/row divergence: " << sql;
+  EXPECT_EQ(got, expected) << "pipeline/reference divergence: " << sql;
 }
 
 class VecExecSqlTest : public ::testing::Test {
@@ -281,66 +283,66 @@ class VecExecSqlTest : public ::testing::Test {
 };
 
 TEST_F(VecExecSqlTest, GroupByStateCarriesAcrossWindowBoundaries) {
-  ExpectBatchMatchesRow(*db_,
-                        "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), "
-                        "MAX(v), AVG(v) FROM ev GROUP BY g");
+  ExpectMatchesReference(*db_,
+                         "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), "
+                         "MAX(v), AVG(v) FROM ev GROUP BY g");
   // Group arriving only in the final partial window.
-  ExpectBatchMatchesRow(*db_, "SELECT g, COUNT(*) FROM ev "
-                              "WHERE g = 99 GROUP BY g");
+  ExpectMatchesReference(*db_, "SELECT g, COUNT(*) FROM ev "
+                               "WHERE g = 99 GROUP BY g");
   // HAVING over the carried aggregate.
-  ExpectBatchMatchesRow(*db_, "SELECT g, SUM(v) FROM ev GROUP BY g "
-                              "HAVING COUNT(*) > 100");
+  ExpectMatchesReference(*db_, "SELECT g, SUM(v) FROM ev GROUP BY g "
+                               "HAVING COUNT(*) > 100");
   // Grand total (single group spanning every window).
-  ExpectBatchMatchesRow(*db_, "SELECT COUNT(*), SUM(v), AVG(v) FROM ev");
+  ExpectMatchesReference(*db_, "SELECT COUNT(*), SUM(v), AVG(v) FROM ev");
 }
 
 TEST_F(VecExecSqlTest, FilterCompactionAcrossWindows) {
   // Survivors scattered across all three windows.
-  ExpectBatchMatchesRow(*db_, "SELECT id, v FROM ev WHERE v = 3");
+  ExpectMatchesReference(*db_, "SELECT id, v FROM ev WHERE v = 3");
   // Exactly one survivor, in the final window.
-  ExpectBatchMatchesRow(*db_, "SELECT id FROM ev WHERE id = 2599");
+  ExpectMatchesReference(*db_, "SELECT id FROM ev WHERE id = 2599");
   // Empty result: every window compacts to zero.
-  ExpectBatchMatchesRow(*db_, "SELECT id FROM ev WHERE v = 1000");
+  ExpectMatchesReference(*db_, "SELECT id FROM ev WHERE v = 1000");
   // Predicate straddling the first window boundary.
-  ExpectBatchMatchesRow(*db_,
-                        "SELECT id FROM ev WHERE id BETWEEN 1020 AND 1030");
+  ExpectMatchesReference(*db_,
+                         "SELECT id FROM ev WHERE id BETWEEN 1020 AND 1030");
   // NULL-heavy predicate: three-valued logic per window.
-  ExpectBatchMatchesRow(*db_, "SELECT id FROM ev WHERE v IS NULL");
-  ExpectBatchMatchesRow(*db_, "SELECT COUNT(*) FROM ev WHERE v IS NOT NULL");
+  ExpectMatchesReference(*db_, "SELECT id FROM ev WHERE v IS NULL");
+  ExpectMatchesReference(*db_, "SELECT COUNT(*) FROM ev WHERE v IS NOT NULL");
 }
 
 TEST_F(VecExecSqlTest, OrderByLimitAtWindowBoundary) {
-  ExpectBatchMatchesRow(*db_, "SELECT id FROM ev ORDER BY id LIMIT 1025",
-                        /*ordered=*/true);
-  ExpectBatchMatchesRow(*db_,
-                        "SELECT id, v FROM ev ORDER BY v DESC, id LIMIT 40",
-                        /*ordered=*/true);
+  ExpectMatchesReference(*db_, "SELECT id FROM ev ORDER BY id LIMIT 1025",
+                         /*ordered=*/true);
+  ExpectMatchesReference(*db_,
+                         "SELECT id, v FROM ev ORDER BY v DESC, id LIMIT 40",
+                         /*ordered=*/true);
 }
 
 TEST_F(VecExecSqlTest, LeftJoinPadsUnmatchedGroupsAcrossWindows) {
   // Groups 4,5,6 (and 99) have no ref row: every one of their ~1100
   // join rows is NULL-padded, in every window.
-  ExpectBatchMatchesRow(*db_,
-                        "SELECT e.g, r.label, COUNT(*) FROM ev e "
-                        "LEFT JOIN ref r ON e.g = r.g GROUP BY e.g, r.label");
+  ExpectMatchesReference(*db_,
+                         "SELECT e.g, r.label, COUNT(*) FROM ev e "
+                         "LEFT JOIN ref r ON e.g = r.g GROUP BY e.g, r.label");
   // Padded rows selected by the IS NULL probe on the right side.
-  ExpectBatchMatchesRow(*db_,
-                        "SELECT COUNT(*) FROM ev e LEFT JOIN ref r "
-                        "ON e.g = r.g WHERE r.label IS NULL");
+  ExpectMatchesReference(*db_,
+                         "SELECT COUNT(*) FROM ev e LEFT JOIN ref r "
+                         "ON e.g = r.g WHERE r.label IS NULL");
   // Aggregates over the padded column: COUNT skips NULLs.
-  ExpectBatchMatchesRow(*db_,
-                        "SELECT COUNT(r.label), COUNT(*) FROM ev e "
-                        "LEFT JOIN ref r ON e.g = r.g");
+  ExpectMatchesReference(*db_,
+                         "SELECT COUNT(r.label), COUNT(*) FROM ev e "
+                         "LEFT JOIN ref r ON e.g = r.g");
   // Inner join drops the padded rows instead.
-  ExpectBatchMatchesRow(*db_,
-                        "SELECT r.label, SUM(e.v) FROM ev e JOIN ref r "
-                        "ON e.g = r.g GROUP BY r.label");
+  ExpectMatchesReference(*db_,
+                         "SELECT r.label, SUM(e.v) FROM ev e JOIN ref r "
+                         "ON e.g = r.g GROUP BY r.label");
 }
 
 TEST_F(VecExecSqlTest, HashJoinKeepsNestedLoopOrderPastOneWindow) {
   // Each join yields more than kBatchCapacity candidate pairs, so pair
-  // windows flush mid-join. The batch hash join (build left, then build
-  // right) must emit exactly the row-path nested loop's rows, in order.
+  // windows flush mid-join. The hash join (build left, then build right)
+  // must emit exactly the reference nested loop's rows, in order.
   const char* queries[] = {
       "SELECT r.id, e.id FROM ref r JOIN ev e ON r.g = e.g",
       "SELECT e.id, r.id FROM ev e JOIN ref r ON e.g = r.g",
@@ -349,11 +351,7 @@ TEST_F(VecExecSqlTest, HashJoinKeepsNestedLoopOrderPastOneWindow) {
       "ON r.g = e.g AND r.id = e.g",
   };
   for (const char* sql : queries) {
-    db_->set_optimizer_enabled(false);
-    db_->set_batch_enabled(false);
-    auto loop = db_->Execute(sql);
-    db_->set_optimizer_enabled(true);
-    db_->set_batch_enabled(true);
+    auto loop = ReferenceSelect(db_.get(), sql);
     const uint64_t joins = obs::MetricsRegistry::Global()
                                .GetCounter("sql.plan.hash_join")
                                .value();
@@ -372,7 +370,7 @@ TEST_F(VecExecSqlTest, HashJoinKeepsNestedLoopOrderPastOneWindow) {
 
 TEST_F(VecExecSqlTest, MixedTypeColumnFallsBackWithoutDivergence) {
   // A window whose expression mixes int and double must bail to the
-  // scalar path mid-pipeline and still agree with the row executor.
+  // scalar path mid-pipeline and still agree with the reference.
   ASSERT_TRUE(db_->Execute("CREATE TABLE m (id INTEGER PRIMARY KEY, "
                            "x DOUBLE)")
                   .ok());
@@ -383,8 +381,8 @@ TEST_F(VecExecSqlTest, MixedTypeColumnFallsBackWithoutDivergence) {
                     .ok());
   }
   ASSERT_TRUE(db_->Execute("COMMIT").ok());
-  ExpectBatchMatchesRow(*db_, "SELECT id + x FROM m WHERE x > 1000");
-  ExpectBatchMatchesRow(*db_, "SELECT SUM(id + x) FROM m");
+  ExpectMatchesReference(*db_, "SELECT id + x FROM m WHERE x > 1000");
+  ExpectMatchesReference(*db_, "SELECT SUM(id + x) FROM m");
 }
 
 }  // namespace
