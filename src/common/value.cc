@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <iomanip>
+#include <ostream>
 #include <sstream>
 
 namespace sqlflow {
@@ -179,6 +181,19 @@ int Value::Compare(const Value& other) const {
                  : (str() < other.str() ? -1 : 1);
   }
   return 0;
+}
+
+void PrintTo(const Value& value, std::ostream* os) {
+  if (value.is_null()) {
+    *os << "NULL";
+    return;
+  }
+  *os << ValueTypeName(value.type()) << ' ';
+  if (value.type() == ValueType::kString) {
+    *os << std::quoted(value.str());
+  } else {
+    *os << value.ToString();
+  }
 }
 
 }  // namespace sqlflow

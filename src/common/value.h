@@ -2,6 +2,7 @@
 #define SQLFLOW_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <variant>
 
@@ -77,6 +78,12 @@ class Value {
   ValueType type_;
   Payload payload_;
 };
+
+/// Debug form: the type name and the value — `INTEGER 5`, `STRING "a"`,
+/// `BOOLEAN TRUE`, `NULL`. Named PrintTo so googletest finds it by
+/// argument-dependent lookup and prints a failed Value or Row comparison
+/// readably instead of as raw object bytes.
+void PrintTo(const Value& value, std::ostream* os);
 
 }  // namespace sqlflow
 

@@ -132,6 +132,19 @@ void InsertSlotSorted(std::vector<size_t>* slots, size_t slot) {
   }
 }
 
+/// True when `a` and `b` carry the same key under `index`'s order.
+bool SameKey(const SecondaryIndex& index, const Row& a, const Row& b) {
+  for (size_t col : index.column_indexes) {
+    if (OrderedValueCompare(a[col], b[col]) != 0) return false;
+  }
+  return true;
+}
+
+void EraseSlotSorted(std::vector<size_t>* slots, size_t slot) {
+  auto pos = std::lower_bound(slots->begin(), slots->end(), slot);
+  if (pos != slots->end() && *pos == slot) slots->erase(pos);
+}
+
 }  // namespace
 
 IndexMaintenanceHook ExchangeIndexMaintenanceHook(
@@ -141,20 +154,20 @@ IndexMaintenanceHook ExchangeIndexMaintenanceHook(
   return previous;
 }
 
-void Table::IndexRow(const Row& row, size_t slot) {
+void Table::IndexRow(const Row& row, size_t slot, const Row* keeps) {
   for (SecondaryIndex& index : secondary_indexes_) {
+    if (keeps != nullptr && SameKey(index, row, *keeps)) continue;
     InsertSlotSorted(&index.ordered[MakeOrderedKey(index, row)], slot);
   }
 }
 
-void Table::UnindexRow(const Row& row, size_t slot) {
+void Table::UnindexRow(const Row& row, size_t slot, const Row* keeps) {
   for (SecondaryIndex& index : secondary_indexes_) {
+    if (keeps != nullptr && SameKey(index, row, *keeps)) continue;
     auto oit = index.ordered.find(MakeOrderedKey(index, row));
     if (oit != index.ordered.end()) {
-      std::vector<size_t>& slots = oit->second;
-      auto pos = std::lower_bound(slots.begin(), slots.end(), slot);
-      if (pos != slots.end() && *pos == slot) slots.erase(pos);
-      if (slots.empty()) index.ordered.erase(oit);
+      EraseSlotSorted(&oit->second, slot);
+      if (oit->second.empty()) index.ordered.erase(oit);
     }
   }
 }
@@ -167,6 +180,9 @@ void Table::ShiftIndexSlotsUp(size_t at) {
       }
     }
   }
+  for (size_t& slot : pending_slots_) {
+    if (slot >= at) ++slot;
+  }
 }
 
 void Table::ShiftIndexSlotsDown(size_t at) {
@@ -177,6 +193,9 @@ void Table::ShiftIndexSlotsDown(size_t at) {
       }
     }
   }
+  for (size_t& slot : pending_slots_) {
+    if (slot > at) --slot;
+  }
 }
 
 void Table::BuildIndex(SecondaryIndex* index) const {
@@ -186,23 +205,16 @@ void Table::BuildIndex(SecondaryIndex* index) const {
   }
 }
 
-namespace {
-
-/// True when `a` and `b` carry the same key under `index`'s order.
-bool SameKey(const SecondaryIndex& index, const Row& a, const Row& b) {
-  for (size_t col : index.column_indexes) {
-    if (OrderedValueCompare(a[col], b[col]) != 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 const SecondaryIndex* Table::FindUniqueViolation(const Row& row,
                                                  size_t ignore_slot,
                                                  size_t* holder) const {
   for (const SecondaryIndex& index : secondary_indexes_) {
     if (!index.unique) continue;
+    // A key the updated row already holds is its own.
+    if (ignore_slot < rows_.size() &&
+        SameKey(index, rows_[ignore_slot], row)) {
+      continue;
+    }
     auto it = index.ordered.find(MakeOrderedKey(index, row));
     if (it == index.ordered.end()) continue;
     for (size_t slot : it->second) {
@@ -304,7 +316,7 @@ void Table::StashAndMarkPending(size_t index, const MvccTxn& txn) {
   ++stash_count_;
   m.writer = txn.id;
   m.commit_ts = kPendingTs;
-  ++pending_row_count_;
+  InsertSlotSorted(&pending_slots_, index);
 }
 
 Status Table::CheckRowConstraints(const Row& row) {
@@ -372,7 +384,7 @@ Status Table::Insert(const Row& row, UndoLog* undo) {
   if (txn != nullptr) {
     meta.commit_ts = kPendingTs;
     meta.writer = txn->id;
-    ++pending_row_count_;
+    pending_slots_.push_back(rows_.size() - 1);  // the highest slot
   }
   meta_.push_back(meta);
   if (undo != nullptr && undo->txn != nullptr) {
@@ -431,18 +443,18 @@ Status Table::Update(size_t index, const Row& new_row, UndoLog* undo) {
     StashAndMarkPending(index, *txn);
     undo->txn->Touch(ToUpperAscii(schema_.table_name()));
   }
-  Row old_row = rows_[index];
-  UnindexRow(old_row, index);
-  rows_[index] = std::move(coerced);
+  Row old_row = std::exchange(rows_[index], std::move(coerced));
+  UnindexRow(old_row, index, &rows_[index]);
   // Same ordering rationale as Insert: the undo entry lands before index
   // maintenance, so a fault at the hook leaves a state RawReplaceAt can
-  // reverse (the new row's postings simply don't exist yet).
+  // reverse (the new row's changed keys have no postings yet; kept keys
+  // post this slot for either image).
   if (undo != nullptr) {
     UndoEntry e;
     e.kind = UndoEntry::Kind::kUpdate;
     e.table_name = schema_.table_name();
     e.row_index = index;
-    e.row = std::move(old_row);
+    e.row = old_row;
     e.row_id = prior_meta.row_id;
     e.meta_commit_ts = prior_meta.commit_ts;
     e.meta_writer = prior_meta.writer;
@@ -452,7 +464,7 @@ Status Table::Update(size_t index, const Row& new_row, UndoLog* undo) {
   if (const auto& hook = IndexMaintenanceHookRef(); hook) {
     SQLFLOW_RETURN_IF_ERROR(hook(schema_.table_name(), "update"));
   }
-  IndexRow(rows_[index], index);
+  IndexRow(rows_[index], index, &old_row);
   return Status::OK();
 }
 
@@ -494,7 +506,7 @@ Status Table::Delete(size_t index, UndoLog* undo) {
   Row old_row = std::move(rows_[index]);
   UnindexRow(old_row, index);
   rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(index));
-  if (prior_meta.writer != 0) --pending_row_count_;
+  if (prior_meta.writer != 0) EraseSlotSorted(&pending_slots_, index);
   meta_.erase(meta_.begin() + static_cast<ptrdiff_t>(index));
   if (index < rows_.size()) ShiftIndexSlotsDown(index);
   if (undo != nullptr) {
@@ -526,7 +538,7 @@ void Table::Clear(UndoLog* undo) {
   // TRUNCATE is not versioned (the executor refuses it while other
   // writers are in flight): drop all version state with the rows.
   meta_.clear();
-  pending_row_count_ = 0;
+  pending_slots_.clear();
   for (VersionShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.stash.clear();
@@ -574,7 +586,7 @@ Row Table::RawRemoveAt(size_t index) {
   Row row = std::move(rows_[index]);
   UnindexRow(row, index);
   rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(index));
-  if (meta_[index].writer != 0) --pending_row_count_;
+  if (meta_[index].writer != 0) EraseSlotSorted(&pending_slots_, index);
   meta_.erase(meta_.begin() + static_cast<ptrdiff_t>(index));
   if (index < rows_.size()) ShiftIndexSlotsDown(index);
   return row;
@@ -595,7 +607,7 @@ void Table::RawRestoreAll(std::vector<Row> rows) {
     meta.row_id = next_row_id_++;
     meta_.push_back(meta);
   }
-  pending_row_count_ = 0;
+  pending_slots_.clear();
   for (VersionShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.stash.clear();
@@ -657,7 +669,7 @@ std::vector<std::pair<uint64_t, Row>> Table::CommittedRowsWithIds() const {
 
 bool Table::NeedsSnapshot(uint64_t reader_txn, uint64_t snapshot_ts) const {
   (void)reader_txn;
-  return pending_row_count_ > 0 || stash_count_ > 0 ||
+  return !pending_slots_.empty() || stash_count_ > 0 ||
          max_commit_ts_ > snapshot_ts;
 }
 
@@ -689,21 +701,19 @@ std::vector<Row> Table::SnapshotRows(uint64_t reader_txn,
   return out;
 }
 
+void Table::ResolvePending(uint64_t txn_id, uint64_t commit_ts) {
+  // erase_if applies the predicate exactly once per slot, in order.
+  std::erase_if(pending_slots_, [&](size_t slot) {
+    RowMeta& m = meta_[slot];
+    if (m.writer != txn_id) return false;
+    m.writer = 0;
+    m.commit_ts = commit_ts;
+    return true;
+  });
+}
+
 void Table::CommitTxn(uint64_t txn_id, uint64_t commit_ts) {
-  // Pending rows cluster at the tail (INSERT appends), so walk
-  // backwards and stop once every pending row in the table has been
-  // seen — commits stay O(write set), not O(table).
-  size_t unseen = pending_row_count_;
-  for (auto it = meta_.rbegin(); it != meta_.rend() && unseen > 0; ++it) {
-    RowMeta& m = *it;
-    if (m.writer == 0) continue;
-    --unseen;
-    if (m.writer == txn_id) {
-      m.writer = 0;
-      m.commit_ts = commit_ts;
-      --pending_row_count_;
-    }
-  }
+  ResolvePending(txn_id, commit_ts);
   if (stash_count_ > 0) {
     for (VersionShard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);
@@ -718,19 +728,9 @@ void Table::CommitTxn(uint64_t txn_id, uint64_t commit_ts) {
 }
 
 void Table::AbortTxn(uint64_t txn_id) {
-  size_t unseen = pending_row_count_;
-  for (auto it = meta_.rbegin(); it != meta_.rend() && unseen > 0; ++it) {
-    RowMeta& m = *it;
-    if (m.writer == 0) continue;
-    --unseen;
-    if (m.writer == txn_id) {
-      // Undo replay restores metadata per row; anything still pending
-      // here was rolled back without a matching undo record (defensive).
-      m.writer = 0;
-      m.commit_ts = 0;
-      --pending_row_count_;
-    }
-  }
+  // Undo replay restores metadata per row; anything still pending here
+  // was rolled back without a matching undo record (defensive).
+  ResolvePending(txn_id, 0);
   if (stash_count_ == 0) return;
   for (VersionShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -764,14 +764,8 @@ size_t Table::GcVersions(uint64_t horizon) {
 }
 
 bool Table::HasPendingWriterOther(uint64_t txn_id) const {
-  if (pending_row_count_ == 0) return false;
-  // Same tail-first walk as CommitTxn: pending rows are almost always
-  // recent appends, so the gate costs O(pending set) per statement.
-  size_t unseen = pending_row_count_;
-  for (auto it = meta_.rbegin(); it != meta_.rend() && unseen > 0; ++it) {
-    if (it->writer == 0) continue;
-    --unseen;
-    if (it->writer != txn_id) return true;
+  for (size_t slot : pending_slots_) {
+    if (meta_[slot].writer != txn_id) return true;
   }
   return false;
 }
@@ -788,8 +782,8 @@ void Table::RestoreMetaAt(size_t index, RowMeta meta) {
   bool was_pending = meta_[index].writer != 0;
   bool now_pending = meta.writer != 0;
   meta_[index] = meta;
-  if (was_pending && !now_pending) --pending_row_count_;
-  if (!was_pending && now_pending) ++pending_row_count_;
+  if (was_pending && !now_pending) EraseSlotSorted(&pending_slots_, index);
+  if (!was_pending && now_pending) InsertSlotSorted(&pending_slots_, index);
 }
 
 bool Table::DropStashedVersion(uint64_t row_id, uint64_t superseder) {

@@ -214,10 +214,11 @@ class Table {
   // --- MVCC version chain ---------------------------------------------------
 
   /// True when the live rows() vector is NOT the correct view for a
-  /// reader at `snapshot_ts`: another transaction has pending rows
-  /// here, something committed after the snapshot, or superseded
-  /// versions are stashed. When false the executor keeps index lookups
-  /// and pushdown; when true it materializes via SnapshotRows.
+  /// reader at `snapshot_ts`: some transaction has pending rows here
+  /// (the pending-slot list is non-empty), something committed after
+  /// the snapshot, or superseded versions are stashed. When false the
+  /// executor keeps index lookups and pushdown; when true it
+  /// materializes via SnapshotRows.
   bool NeedsSnapshot(uint64_t reader_txn, uint64_t snapshot_ts) const;
 
   /// Materializes the rows visible to `reader_txn` at `snapshot_ts`:
@@ -230,7 +231,9 @@ class Table {
                                 uint64_t snapshot_ts) const;
 
   /// Stamps every row pending under `txn_id` (and every stash entry it
-  /// superseded) with `commit_ts`.
+  /// superseded) with `commit_ts`. Walks the pending-slot list, so the
+  /// cost is O(rows pending in this table), whatever the table size and
+  /// wherever the rows sit.
   void CommitTxn(uint64_t txn_id, uint64_t commit_ts);
 
   /// Defensive abort sweep: clears any metadata still pending under
@@ -243,9 +246,10 @@ class Table {
   size_t GcVersions(uint64_t horizon);
 
   /// Pending rows written by transactions other than `txn_id` — the
-  /// DDL/TRUNCATE gate (those operations are not versioned, so they
-  /// refuse with a transient status while other writers are in
-  /// flight).
+  /// UPDATE/DELETE/DROP/TRUNCATE gate (those statements act on raw
+  /// slots or are not versioned, so they refuse with a transient status
+  /// while other writers are in flight). A scan of the pending-slot
+  /// list: O(rows pending in this table).
   bool HasPendingWriterOther(uint64_t txn_id) const;
 
   /// Slot currently holding `row_id`; `hint` is checked first (the
@@ -254,14 +258,17 @@ class Table {
   size_t FindSlotByRowId(uint64_t row_id, size_t hint) const;
 
   RowMeta MetaAt(size_t index) const { return meta_[index]; }
-  /// Restores one row's metadata during undo replay (adjusting the
-  /// pending count).
+  /// Restores one row's metadata during undo replay (adding the slot to
+  /// or dropping it from the pending-slot list).
   void RestoreMetaAt(size_t index, RowMeta meta);
   /// Drops the stash entry `{row_id, superseder}` if present (undo
   /// replay of the write that created it). Returns whether one existed.
   bool DropStashedVersion(uint64_t row_id, uint64_t superseder);
 
   size_t StashDepthForTest() const;
+  const std::vector<size_t>& PendingSlotsForTest() const {
+    return pending_slots_;
+  }
   uint64_t max_commit_ts() const { return max_commit_ts_; }
 
  private:
@@ -299,6 +306,9 @@ class Table {
   /// Stashes the pre-image of row `index` (unless `txn` already owns
   /// its pending version) and marks the row pending under `txn`.
   void StashAndMarkPending(size_t index, const MvccTxn& txn);
+  /// Gives every listed row pending under `txn_id` writer 0 and
+  /// `commit_ts` (0 on abort) and drops it from the pending-slot list.
+  void ResolvePending(uint64_t txn_id, uint64_t commit_ts);
   VersionShard& ShardFor(uint64_t row_id) {
     return shards_[row_id % kVersionShards];
   }
@@ -310,12 +320,15 @@ class Table {
   Status CheckRowConstraints(const Row& row);
   Row MakeOrderedKey(const SecondaryIndex& index, const Row& row) const;
   /// Registers/unregisters `row` (living at `slot`) in every secondary
-  /// index, keeping each posting's slot list sorted.
-  void IndexRow(const Row& row, size_t slot);
-  void UnindexRow(const Row& row, size_t slot);
-  /// Renumbers slots after a row insertion/removal at `at`: every slot
-  /// >= `at` (insert) or > `at` (remove) moves by one. No-ops when the
-  /// affected row was at the end of the table.
+  /// index, keeping each posting's slot list sorted. Indexes on which
+  /// `row` and `*keeps` share a key are skipped: an UPDATE that keeps a
+  /// key keeps its posting.
+  void IndexRow(const Row& row, size_t slot, const Row* keeps = nullptr);
+  void UnindexRow(const Row& row, size_t slot, const Row* keeps = nullptr);
+  /// Renumbers index postings and the pending-slot list after a row
+  /// insertion/removal at `at`: every slot >= `at` (insert) or > `at`
+  /// (remove) moves by one. No-ops when the affected row was at the end
+  /// of the table.
   void ShiftIndexSlotsUp(size_t at);
   void ShiftIndexSlotsDown(size_t at);
   /// Refills `index` from the current rows.
@@ -329,8 +342,11 @@ class Table {
   /// Superseded versions, sharded by row id.
   std::array<VersionShard, kVersionShards> shards_;
   uint64_t next_row_id_ = 1;
-  /// Live rows currently pending under some transaction.
-  size_t pending_row_count_ = 0;
+  /// Slots (ascending) of the live rows pending under some transaction
+  /// — exactly those whose RowMeta.writer != 0. Every transition into
+  /// or out of pending adds or drops its slot, and the slot shifts
+  /// renumber it, so commit, abort and the writer gate walk only this.
+  std::vector<size_t> pending_slots_;
   /// Stashed versions across all shards (fast NeedsSnapshot check).
   size_t stash_count_ = 0;
   /// Highest commit timestamp stamped onto this table's rows.

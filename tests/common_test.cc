@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/value.h"
@@ -147,6 +149,19 @@ TEST(ValueTest, TotalOrder) {
 }
 
 // --- string_util ---------------------------------------------------------------
+
+TEST(ValueTest, PrintsTypeAndValueForTestFailures) {
+  EXPECT_EQ(::testing::PrintToString(Value::Null()), "NULL");
+  EXPECT_EQ(::testing::PrintToString(Value::Boolean(true)), "BOOLEAN TRUE");
+  EXPECT_EQ(::testing::PrintToString(Value::Integer(5)), "INTEGER 5");
+  EXPECT_EQ(::testing::PrintToString(Value::Double(1.5)), "DOUBLE 1.5");
+  EXPECT_EQ(::testing::PrintToString(Value::String("a \"b\"")),
+            "STRING \"a \\\"b\\\"\"");
+  // Rows (vectors of values) print element by element.
+  EXPECT_EQ(::testing::PrintToString(
+                std::vector<Value>{Value::Integer(1), Value::String("x")}),
+            "{ INTEGER 1, STRING \"x\" }");
+}
 
 TEST(StringUtilTest, CaseConversion) {
   EXPECT_EQ(ToUpperAscii("SeLeCt"), "SELECT");

@@ -12,7 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -409,6 +414,339 @@ TEST_F(MvccTest, PipelineServesSelectsWithoutFrom) {
     ASSERT_EQ(rs->row_count(), 1u) << sql;
     EXPECT_EQ(rs->rows()[0][0], expected) << sql;
     EXPECT_GT(CounterValue("sql.plan.batch"), batches) << sql;
+  }
+}
+
+// --- seeded bookkeeping property ----------------------------------------------
+// Three connections run explicit transactions and autocommit writes
+// (UPDATE, INSERT, DELETE) over a 200-row table with a PRIMARY KEY and a
+// secondary index. Keys are drawn from the whole key range, so writes
+// land at the head, middle and tail of the table and deletes shift the
+// slots of other transactions' pending rows. After every step each
+// connection's view must equal a model of its snapshot (the committed
+// state at its BEGIN plus its own writes), and every write's status must
+// be the one the model predicts — in particular kDeadlock exactly when
+// another transaction holds pending rows or a contended key.
+
+/// Snapshot isolation as this engine implements it: conflicts are
+/// detected at write time (first-committer-wins), UPDATE/DELETE refuse
+/// while another transaction has pending live rows in the table, and a
+/// key freed by a displaced version stays contended while its displacer
+/// is in flight or committed after the writer's snapshot.
+class SiModel {
+ public:
+  static constexpr int kConns = 3;
+
+  struct Expect {
+    std::vector<StatusCode> codes;  // any of these; first is the usual
+    int64_t affected = 0;
+  };
+
+  explicit SiModel(std::map<int64_t, int64_t> rows)
+      : committed_(std::move(rows)) {
+    for (const auto& [k, v] : committed_) changed_at_[k] = 0;
+  }
+
+  bool open(int c) const { return txns_[c].has_value(); }
+
+  void Begin(int c) {
+    txns_[c] = Txn{commits_, committed_, {}};
+  }
+
+  void Commit(int c) {
+    ++commits_;
+    for (const auto& [k, w] : txns_[c]->writes) {
+      if (w.has_value()) {
+        committed_[k] = *w;
+        changed_at_[k] = commits_;
+      } else {
+        committed_.erase(k);
+        changed_at_.erase(k);
+      }
+    }
+    for (Displaced& d : displaced_) {
+      if (d.conn == c && d.committed == 0) d.committed = commits_;
+    }
+    txns_[c].reset();
+  }
+
+  void Abort(int c) {
+    std::erase_if(displaced_, [c](const Displaced& d) {
+      return d.conn == c && d.committed == 0;
+    });
+    txns_[c].reset();
+  }
+
+  /// Rows connection `c` reads: its snapshot plus its own writes, or the
+  /// latest committed state outside a transaction.
+  std::vector<Row> View(int c) const {
+    std::map<int64_t, int64_t> view = committed_;
+    if (open(c)) {
+      view = txns_[c]->snapshot;
+      for (const auto& [k, w] : txns_[c]->writes) {
+        if (w.has_value()) {
+          view[k] = *w;
+        } else {
+          view.erase(k);
+        }
+      }
+    }
+    std::vector<Row> rows;
+    for (const auto& [k, v] : view) {
+      rows.push_back({Value::Integer(k), Value::Integer(v)});
+    }
+    return rows;
+  }
+
+  std::vector<Row> Committed() const {
+    std::vector<Row> rows;
+    for (const auto& [k, v] : committed_) {
+      rows.push_back({Value::Integer(k), Value::Integer(v)});
+    }
+    return rows;
+  }
+
+  // Each write is applied to the model only when it succeeds; `c` has an
+  // open transaction (autocommit runs Begin/op/Commit-or-Abort).
+
+  Expect Update(int c, int64_t k, int64_t v) {
+    if (PendingOther(c)) return {{StatusCode::kDeadlock}};
+    std::optional<Live> live = LiveRow(k);
+    if (!live.has_value()) return {{StatusCode::kOk}, 0};
+    if (live->writer < 0 && live->changed_at > txns_[c]->begin) {
+      return {{StatusCode::kUnavailable}};
+    }
+    if (std::optional<Expect> e = StashConflict(c, k)) return *e;
+    if (live->writer < 0) displaced_.push_back({k, c, 0});
+    txns_[c]->writes[k] = v;
+    return {{StatusCode::kOk}, 1};
+  }
+
+  Expect Delete(int c, int64_t k) {
+    if (PendingOther(c)) return {{StatusCode::kDeadlock}};
+    std::optional<Live> live = LiveRow(k);
+    if (!live.has_value()) return {{StatusCode::kOk}, 0};
+    if (live->writer < 0) {
+      if (live->changed_at > txns_[c]->begin) {
+        return {{StatusCode::kUnavailable}};
+      }
+      displaced_.push_back({k, c, 0});
+    }
+    txns_[c]->writes[k] = std::nullopt;
+    return {{StatusCode::kOk}, 1};
+  }
+
+  Expect Insert(int c, int64_t k, int64_t v) {
+    if (std::optional<Live> live = LiveRow(k)) {
+      if (live->writer >= 0 && live->writer != c) {
+        return {{StatusCode::kDeadlock}};
+      }
+      if (live->writer < 0 && live->changed_at > txns_[c]->begin) {
+        return {{StatusCode::kUnavailable}};
+      }
+      return {{StatusCode::kConstraintError}};
+    }
+    if (std::optional<Expect> e = StashConflict(c, k)) return *e;
+    txns_[c]->writes[k] = v;
+    return {{StatusCode::kOk}, 1};
+  }
+
+ private:
+  struct Txn {
+    uint64_t begin = 0;  // commits seen at BEGIN
+    std::map<int64_t, int64_t> snapshot;
+    std::map<int64_t, std::optional<int64_t>> writes;  // nullopt: deleted
+  };
+  /// A committed row version some transaction displaced (UPDATE or
+  /// DELETE): the engine's stashed pre-image.
+  struct Displaced {
+    int64_t key = 0;
+    int conn = 0;
+    uint64_t committed = 0;  // 0 while the displacer is in flight
+  };
+  struct Live {
+    int writer = -1;  // connection with the row pending; -1 committed
+    uint64_t changed_at = 0;
+  };
+
+  /// The live table row holding `k`: at most one transaction has a
+  /// pending write on a key, and its write decides.
+  std::optional<Live> LiveRow(int64_t k) const {
+    for (int c = 0; c < kConns; ++c) {
+      if (!open(c)) continue;
+      auto it = txns_[c]->writes.find(k);
+      if (it == txns_[c]->writes.end()) continue;
+      if (!it->second.has_value()) return std::nullopt;
+      return Live{c, 0};
+    }
+    auto it = changed_at_.find(k);
+    if (it == changed_at_.end()) return std::nullopt;
+    return Live{-1, it->second};
+  }
+
+  /// Another open transaction has a pending live row in the table — the
+  /// UPDATE/DELETE gate.
+  bool PendingOther(int c) const {
+    for (int o = 0; o < kConns; ++o) {
+      if (o == c || !open(o)) continue;
+      for (const auto& [k, w] : txns_[o]->writes) {
+        if (w.has_value()) return true;
+      }
+    }
+    return false;
+  }
+
+  /// A displaced version of `k` whose displacer is in flight elsewhere
+  /// (kDeadlock) or committed after `c`'s snapshot (kUnavailable). When
+  /// both exist the engine reports whichever its stash lists first.
+  std::optional<Expect> StashConflict(int c, int64_t k) const {
+    bool pending_other = false;
+    bool committed_after = false;
+    for (const Displaced& d : displaced_) {
+      if (d.key != k) continue;
+      pending_other |= d.committed == 0 && d.conn != c;
+      committed_after |= d.committed > txns_[c]->begin;
+    }
+    if (pending_other && committed_after) {
+      return Expect{{StatusCode::kDeadlock, StatusCode::kUnavailable}};
+    }
+    if (pending_other) return Expect{{StatusCode::kDeadlock}};
+    if (committed_after) return Expect{{StatusCode::kUnavailable}};
+    return std::nullopt;
+  }
+
+  std::map<int64_t, int64_t> committed_;
+  std::map<int64_t, uint64_t> changed_at_;  // commit count of last write
+  uint64_t commits_ = 0;
+  std::array<std::optional<Txn>, kConns> txns_;
+  std::vector<Displaced> displaced_;
+};
+
+void RunBookkeepingProperty(uint64_t seed) {
+  Database db("mvccprop");
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (k INTEGER PRIMARY KEY, "
+                               "v INTEGER); CREATE INDEX t_v ON t (v);")
+                  .ok());
+  std::map<int64_t, int64_t> initial;
+  for (int64_t k = 1; k <= 200; ++k) {
+    initial[k] = (k * 37) % 1000;
+    ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (?, ?)",
+                           Params().Add(Value::Integer(k)).Add(
+                               Value::Integer(initial[k])))
+                    .ok());
+  }
+  std::array<std::shared_ptr<Database>, SiModel::kConns> conns;
+  for (auto& conn : conns) conn = db.CreateConnection();
+  SiModel model(initial);
+  Table* table = db.catalog().FindTable("t");
+  std::mt19937_64 rng(seed);
+  auto pick = [&](int64_t n) {
+    return static_cast<int64_t>(rng() % static_cast<uint64_t>(n));
+  };
+  int64_t next_key = 201;
+  int64_t last_deleted = 0;
+
+  auto check_views = [&](const std::string& where) {
+    for (int c = 0; c < SiModel::kConns; ++c) {
+      auto rs = conns[c]->Execute("SELECT * FROM t ORDER BY k");
+      ASSERT_TRUE(rs.ok()) << where << ": " << rs.status().ToString();
+      ASSERT_EQ(rs->rows(), model.View(c)) << where << ", conn " << c;
+    }
+    // The pending-slot list commit, abort and the writer gate walk must
+    // name exactly the slots a full scan finds pending.
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < table->row_count(); ++i) {
+      if (table->MetaAt(i).writer != 0) pending.push_back(i);
+    }
+    ASSERT_EQ(table->PendingSlotsForTest(), pending) << where;
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    const int c = static_cast<int>(pick(SiModel::kConns));
+    Database& conn = *conns[c];
+    const std::string where =
+        "seed " + std::to_string(seed) + " step " + std::to_string(step);
+    const bool explicit_txn = model.open(c);
+    if (explicit_txn && pick(4) == 0) {
+      if (pick(2) == 0) {
+        ASSERT_TRUE(conn.Commit().ok()) << where;
+        model.Commit(c);
+      } else {
+        ASSERT_TRUE(conn.Rollback().ok()) << where;
+        model.Abort(c);
+      }
+    } else if (!explicit_txn && pick(3) == 0) {
+      ASSERT_TRUE(conn.Begin().ok()) << where;
+      model.Begin(c);
+    } else {
+      if (!explicit_txn) model.Begin(c);
+      const int64_t value = pick(1000);
+      const int64_t kind = pick(20);
+      std::string sql;
+      Params params;
+      SiModel::Expect expect;
+      if (kind < 9) {
+        const int64_t k = 1 + pick(next_key - 1);
+        sql = "UPDATE t SET v = ? WHERE k = ?";
+        params = Params().Add(Value::Integer(value)).Add(Value::Integer(k));
+        expect = model.Update(c, k, value);
+      } else if (kind < 15) {
+        const int64_t k = 1 + pick(next_key - 1);
+        sql = "DELETE FROM t WHERE k = ?";
+        params = Params().Add(Value::Integer(k));
+        expect = model.Delete(c, k);
+        if (expect.affected == 1) last_deleted = k;
+      } else {
+        // Fresh keys (appended at the tail), keys anywhere in the range
+        // (mostly duplicates), and the last deleted key, whose deleter
+        // may still be in flight or committed after this snapshot.
+        const int64_t choice = pick(3);
+        const int64_t k = choice == 0   ? next_key++
+                          : choice == 1 || last_deleted == 0
+                              ? 1 + pick(next_key - 1)
+                              : last_deleted;
+        sql = "INSERT INTO t VALUES (?, ?)";
+        params = Params().Add(Value::Integer(k)).Add(Value::Integer(value));
+        expect = model.Insert(c, k, value);
+      }
+      auto rs = conn.Execute(sql, params);
+      const StatusCode code = rs.ok() ? StatusCode::kOk : rs.status().code();
+      ASSERT_NE(std::find(expect.codes.begin(), expect.codes.end(), code),
+                expect.codes.end())
+          << where << ", conn " << c << ": " << sql << " with "
+          << ::testing::PrintToString(params.positional) << " returned "
+          << (rs.ok() ? "OK" : rs.status().ToString()) << ", model expects "
+          << StatusCodeName(expect.codes.front());
+      if (rs.ok()) {
+        ASSERT_EQ(rs->affected_rows(), expect.affected) << where << ": " << sql;
+      }
+      if (!explicit_txn) {
+        if (rs.ok()) {
+          model.Commit(c);
+        } else {
+          model.Abort(c);
+        }
+      }
+    }
+    check_views(where);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (int c = 0; c < SiModel::kConns; ++c) {
+    if (!model.open(c)) continue;
+    ASSERT_TRUE(conns[c]->Commit().ok());
+    model.Commit(c);
+  }
+  auto final_rows = db.Execute("SELECT * FROM t ORDER BY k");
+  ASSERT_TRUE(final_rows.ok());
+  EXPECT_EQ(final_rows->rows(), model.Committed()) << "seed " << seed;
+  EXPECT_FALSE(table->HasPendingWriterOther(0)) << "seed " << seed;
+}
+
+TEST(MvccPropertyTest, BookkeepingMatchesSnapshotModel) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunBookkeepingProperty(seed);
+    if (HasFatalFailure()) return;
   }
 }
 
